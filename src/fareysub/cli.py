@@ -17,13 +17,7 @@ from typing import Sequence
 
 from . import counting, maps, neighbors, verify
 from .fraction import DomainError, Fraction, parse_fraction
-from .sequences import (
-    MAX_ENUM_ORDER,
-    SequenceKind,
-    SequenceSpec,
-    enumerate_sequence,
-    generate_sequence,
-)
+from .sequences import SequenceKind, SequenceSpec, generate_sequence
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -94,32 +88,32 @@ def cmd_neighbors(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cardinality(spec: SequenceSpec) -> tuple[int, str, dict[str, int]]:
+def _cardinality_variants(spec: SequenceSpec) -> tuple[str, dict[str, int]]:
+    """The reported formula's name and every closed form of the family size."""
     n, m = spec.n, spec.m
     if spec.kind is SequenceKind.FULL:
-        return counting.full_cardinality(n), "moebius-sum", counting.f_cardinality_variants(n, n)
+        return "moebius-sum", counting.f_cardinality_variants(n, n)
     assert m is not None
     if spec.kind is SequenceKind.FNUM:
-        return counting.f_cardinality(n, m), "moebius-sum", counting.f_cardinality_variants(n, m)
+        return "moebius-sum", counting.f_cardinality_variants(n, m)
     if spec.kind is SequenceKind.GDIFF:
-        return counting.g_cardinality(n, m), "phi-sum", counting.g_cardinality_variants(n, m)
+        return "phi-sum", counting.g_cardinality_variants(n, m)
     if spec.kind is SequenceKind.BOOLEAN:
-        return (
-            counting.boolean_cardinality(n, m),
-            "half-sum",
-            counting.boolean_cardinality_variants(n, m),
-        )
+        return "half-sum", counting.boolean_cardinality_variants(n, m)
     # Half sizes via the order-preserving bijections onto fnum families.
     if spec.kind is SequenceKind.BOOLEAN_LEFT:
         q, p = n - m, m
     else:
         q, p = m, n - m
-    return counting.f_cardinality(q, p), "moebius-sum", counting.f_cardinality_variants(q, p)
+    return "moebius-sum", counting.f_cardinality_variants(q, p)
 
 
 def cmd_card(args: argparse.Namespace) -> int:
     spec = SequenceSpec(SequenceKind(args.kind), args.n, _require_m(args))
-    value, method, variants = _cardinality(spec)
+    method, variants = _cardinality_variants(spec)
+    if len(set(variants.values())) != 1:
+        raise RuntimeError(f"cardinality variants disagree for {spec}: {variants}")
+    value = variants[method]
     if args.format == "json":
         payload = {
             "cardinality": value,
@@ -139,10 +133,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
         variants = counting.g_rank_variants(spec.n, spec.m, x)
         value, method = variants["phi-sum"], "phi-sum"
     else:
-        seq = enumerate_sequence(spec, max_order=args.max_order)
-        if x not in seq:
-            raise DomainError(f"{x} is not in the {spec.kind.value} family n={spec.n}, m={spec.m}")
-        value, method, variants = seq.index(x), "oracle-scan", {}
+        value, method, variants = counting.rank(spec, x), "phi-sum-transport", {}
     if args.format == "json":
         metadata = _spec_metadata(spec) | {"target": str(x), "method": method}
         if variants:
@@ -243,12 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_rank)
     p_rank.add_argument("fraction", help="reduced fraction h/k in the sequence")
     p_rank.add_argument("--format", choices=["plain", "json"], default="plain")
-    p_rank.add_argument(
-        "--max-order",
-        type=int,
-        default=MAX_ENUM_ORDER,
-        help="bound for the enumeration fallback used by non-gdiff kinds",
-    )
+    # Accepted and ignored so that existing command lines still parse: rank
+    # enumerates nothing, so there is no bound to set.
+    p_rank.add_argument("--max-order", type=int, default=None, help=argparse.SUPPRESS)
     p_rank.set_defaults(func=cmd_rank)
 
     p_map = sub.add_parser("map", help="apply a registered monotone map")

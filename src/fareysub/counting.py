@@ -2,9 +2,10 @@
 
 Every formula is evaluated in exact integer arithmetic.  Sums with a 1/2
 factor are computed as twice the sum, checked for evenness, and halved.
-Where a quantity has several published closed forms, the variants are all
-computed and cross-checked; a disagreement raises, since it can only mean a
-bug here.
+Where a cardinality has several published closed forms, the variants are
+all computed and cross-checked; a disagreement raises, since it can only
+mean a bug here.  Rank is the coprime-count sum alone; its other closed
+forms are in g_rank_variants, for verification.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fraction import ZERO, DomainError, Fraction
+from .fraction import HALF, ZERO, DomainError, Fraction, mirror
+from .neighbors import _LEFT_TO_F, _RIGHT_TO_G
 from .sequences import SequenceKind, SequenceSpec, member
 
 
@@ -148,6 +150,16 @@ def g_cardinality(n: int, m: int) -> int:
     return values.pop()
 
 
+def g_rank(n: int, m: int, x: Fraction) -> int:
+    """Zero-based index of x in the gdiff family, by the coprime-count sum."""
+    spec = SequenceSpec(SequenceKind.GDIFF, n, m)
+    if x == ZERO or not member(spec, x):
+        raise DomainError(f"{x} has no rank in the gdiff family n={n}, m={m}")
+    m = max(m, 0)
+    h, k = x.num, x.den
+    return sum(phi_interval(j, j + m - n, (j * h) // k) for j in range(1, n + 1))
+
+
 def g_rank_variants(n: int, m: int, x: Fraction) -> dict[str, int]:
     """Rank formulas for x in the gdiff family.
 
@@ -155,12 +167,9 @@ def g_rank_variants(n: int, m: int, x: Fraction) -> dict[str, int]:
     form whose transcription is less certain; callers should report rather
     than trust a disagreement (none has been observed up to n = 30).
     """
-    spec = SequenceSpec(SequenceKind.GDIFF, n, m)
-    if x == ZERO or not member(spec, x):
-        raise DomainError(f"{x} has no rank in the gdiff family n={n}, m={m}")
+    phi_sum = g_rank(n, m, x)
     m = max(m, 0)
     h, k = x.num, x.den
-    phi_sum = sum(phi_interval(j, j + m - n, (j * h) // k) for j in range(1, n + 1))
     pivot = min(n - m + 1, n)
     split = sum(phi_interval(j, 1, (j * h) // k) for j in range(1, pivot + 1)) + sum(
         phi_interval(j, j + m - n, (j * h) // k) for j in range(pivot + 1, n + 1)
@@ -177,9 +186,42 @@ def g_rank_variants(n: int, m: int, x: Fraction) -> dict[str, int]:
     return {"phi-sum": phi_sum, "split-phi-sum": split, "moebius-sum": moebius_sum}
 
 
-def g_rank(n: int, m: int, x: Fraction) -> int:
-    """Zero-based index of x in the gdiff family, by the coprime-count sum."""
-    return g_rank_variants(n, m, x)["phi-sum"]
+def _g_rank_from_zero(n: int, m: int, x: Fraction) -> int:
+    """g_rank extended to 0/1, the first element of every gdiff family."""
+    return 0 if x == ZERO else g_rank(n, m, x)
+
+
+def _f_rank(q: int, p: int, x: Fraction) -> int:
+    """Rank in the fnum family: the mirror reverses it onto gdiff(q, q - p)."""
+    return f_cardinality(q, p) - 1 - _g_rank_from_zero(q, q - p, mirror(x))
+
+
+def rank(spec: SequenceSpec, x: Fraction) -> int:
+    """Zero-based index of x in any of the six families, without enumeration.
+
+    Every family is carried to a gdiff family and ranked there by g_rank:
+    fnum through the order-reversing mirror onto gdiff(n, n - m), the bool
+    half below 1/2 onto fnum(n - m, m) by h/k -> h/(k-h), and the half above
+    onto gdiff(m, 2m - n) by h/k -> (2h-k)/h.  1/2 closes the left half of
+    bool and opens bool-right.
+    """
+    if not member(spec, x):
+        raise DomainError(f"{x} is not in the {spec.kind.value} family n={spec.n}, m={spec.m}")
+    n, kind = spec.n, spec.kind
+    if kind is SequenceKind.FULL:
+        return _g_rank_from_zero(n, 0, x)
+    m = spec.m
+    assert m is not None
+    if kind is SequenceKind.GDIFF:
+        return _g_rank_from_zero(n, m, x)
+    if kind is SequenceKind.FNUM:
+        return _f_rank(n, m, x)
+    if kind is SequenceKind.BOOLEAN_RIGHT:
+        return _g_rank_from_zero(m, 2 * m - n, _RIGHT_TO_G.apply(x))
+    if x <= HALF:
+        return _f_rank(n - m, m, _LEFT_TO_F.apply(x))
+    # Past 1/2: the whole left half, 1/2 itself counted once, then the right.
+    return f_cardinality(n - m, m) - 1 + _g_rank_from_zero(m, 2 * m - n, _RIGHT_TO_G.apply(x))
 
 
 def f_cardinality_variants(q: int, p: int) -> dict[str, int]:

@@ -66,7 +66,8 @@ def _g_step(n: int, m: int, x: Fraction, residue_sign: int) -> Fraction:
     residue = (residue_sign * pow(k, -1, h)) % h if h > 1 else 0
     x0 = m - (m - residue) % h
     y0, rem = divmod(k * x0 - residue_sign, h)
-    assert rem == 0
+    if rem != 0:
+        raise RuntimeError(f"k*x0 - {residue_sign} is not divisible by h for x={x}, x0={x0}")
     t = _floor_min(n - m + x0 - y0, k - h, n - y0, k)
     return make_fraction(x0 + t * h, y0 + t * k)
 

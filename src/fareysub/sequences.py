@@ -172,7 +172,8 @@ def generate_boolean(n: int, m: int) -> list[Fraction]:
     left = [Fraction(f.num, f.den + f.num) for f in iterate_f(n - m, m)]
     right = [Fraction(f.den, f.den + f.num) for f in iterate_f(m, n - m)]
     right.reverse()
-    assert left[-1] == HALF and right[0] == HALF
+    if left[-1] != HALF or right[0] != HALF:
+        raise RuntimeError(f"bool halves for n={n}, m={m} do not meet at 1/2")
     return left + right[1:]
 
 

@@ -123,12 +123,23 @@ def test_rank_other_kinds_scan_and_say_so(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["rank"] == 1
-    assert payload["metadata"]["method"] == "oracle-scan"
+    assert payload["metadata"]["method"] == "phi-sum-transport"
 
     code, out, _ = run(capsys, "rank", "--kind", "gdiff", "-n", "6", "-m", "4", "1/2", "--format", "json")
     payload = json.loads(out)
     assert payload["metadata"]["method"] == "phi-sum"
     assert payload["metadata"]["variants"]["moebius-sum"] == 2
+
+
+def test_rank_beyond_the_enumeration_bound(capsys):
+    # 9000/17999 follows 1/2 in bool(20000, 9000); the left half up to 1/2
+    # has 35566118 members.
+    argv = ("-n", "20000", "-m", "9000", "9000/17999")
+    assert run(capsys, "rank", "--kind", "bool-right", *argv)[:2] == (0, "1\n")
+    assert run(capsys, "rank", "--kind", "bool", *argv)[:2] == (0, "35566118\n")
+    # --max-order no longer bounds anything but is still accepted.
+    argv = ("rank", "--kind", "fnum", "-n", "20000", "-m", "3", "1/1", "--max-order", "10")
+    assert run(capsys, *argv)[:2] == (0, "43331\n")
 
 
 def test_rank_domain_errors(capsys):

@@ -1,12 +1,16 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fareysub import (
+    HALF,
+    ONE,
     DomainError,
     Fraction,
     MoebiusTable,
     SequenceKind,
+    SequenceSpec,
     boolean_cardinality,
     boolean_cardinality_variants,
     central_identity_check,
@@ -17,11 +21,15 @@ from fareysub import (
     g_cardinality_variants,
     g_rank,
     g_rank_variants,
+    make_fraction,
+    member,
     moebius,
     moebius_floor_square_sum,
     moebius_floor_sum,
     parse_fraction,
     phi_interval,
+    rank,
+    sequence_neighbors,
 )
 
 K = SequenceKind
@@ -216,3 +224,97 @@ def test_identities_sweep():
 def test_full_cardinality_matches_oracle(oracle):
     for n in range(1, 26):
         assert full_cardinality(n) == len(oracle(K.FULL, n))
+
+
+def _valid_ms(kind: SequenceKind, n: int) -> list:
+    """Every parameter value with a distinct family at order n, plus slack ones."""
+    if kind is K.FULL:
+        return [None]
+    if kind is K.FNUM:
+        return list(range(1, n + 3))
+    if kind is K.GDIFF:
+        return list(range(-2, n))
+    return list(range(1, n))
+
+
+def test_rank_matches_oracle_for_every_kind(oracle):
+    for kind in K:
+        for n in range(1, 25):
+            for m in _valid_ms(kind, n):
+                spec = SequenceSpec(kind, n, m)
+                for i, x in enumerate(oracle(kind, n, m)):
+                    assert rank(spec, x) == i, (spec, x)
+
+
+def _cardinality(spec: SequenceSpec) -> int:
+    n, m = spec.n, spec.m
+    return {
+        K.FULL: lambda: full_cardinality(n),
+        K.FNUM: lambda: f_cardinality(n, m),
+        K.GDIFF: lambda: g_cardinality(n, m),
+        K.BOOLEAN: lambda: boolean_cardinality(n, m),
+        K.BOOLEAN_LEFT: lambda: f_cardinality(n - m, m),
+        K.BOOLEAN_RIGHT: lambda: f_cardinality(m, n - m),
+    }[spec.kind]()
+
+
+@pytest.mark.parametrize("kind", list(K))
+@pytest.mark.parametrize("n", [2, 7, 60, 499, 1000])
+def test_rank_of_last_element_is_cardinality_minus_one(kind, n):
+    slack = {K.FNUM: {n + 2}, K.GDIFF: {-2, 0}}.get(kind, set())
+    ms = [None] if kind is K.FULL else sorted({1, max(1, n // 3), n - 1} | slack)
+    for m in ms:
+        spec = SequenceSpec(kind, n, m)
+        last = HALF if kind is K.BOOLEAN_LEFT else ONE
+        assert rank(spec, last) == _cardinality(spec) - 1, spec
+
+
+def test_rank_rejects_non_members():
+    with pytest.raises(DomainError):
+        rank(SequenceSpec(K.FULL, 6), parse_fraction("1/7"))
+    with pytest.raises(DomainError):
+        rank(SequenceSpec(K.BOOLEAN_RIGHT, 6, 4), parse_fraction("1/3"))
+    with pytest.raises(DomainError):
+        rank(SequenceSpec(K.BOOLEAN_LEFT, 6, 4), parse_fraction("3/5"))
+
+
+@st.composite
+def _members(draw):
+    """A family of order n <= 3000 and a member of it, drawn as h/k and reduced.
+
+    Each membership condition caps one of h, k, k - h, 2h - k or k - 2h by
+    a bound >= 0, and dividing out gcd(h, k) keeps such a value under it.
+    """
+    kind = draw(st.sampled_from(list(K)))
+    n = draw(st.integers(2, 3000))
+    m = None
+    if kind is K.FNUM:
+        m = draw(st.integers(1, n + 2))
+    elif kind is K.GDIFF:
+        m = draw(st.integers(-2, n - 1))
+    elif kind is not K.FULL:
+        m = draw(st.integers(1, n - 1))
+    spec = SequenceSpec(kind, n, m)
+    k = draw(st.integers(1, n))
+    lo, hi = 0, k
+    if kind in (K.FNUM, K.BOOLEAN, K.BOOLEAN_LEFT, K.BOOLEAN_RIGHT):
+        hi = min(hi, m)
+    if kind in (K.GDIFF, K.BOOLEAN, K.BOOLEAN_LEFT, K.BOOLEAN_RIGHT):
+        lo = max(lo, k - (n - m))
+    if kind is K.BOOLEAN_LEFT:
+        hi = min(hi, k // 2)
+    if kind is K.BOOLEAN_RIGHT:
+        lo = max(lo, (k + 1) // 2)
+    assume(lo <= hi)
+    x = make_fraction(draw(st.integers(lo, hi)), k)
+    assert member(spec, x)
+    return spec, x
+
+
+@settings(max_examples=100, deadline=None)
+@given(_members())
+def test_rank_of_successor_is_one_more(case):
+    spec, x = case
+    succ = sequence_neighbors(spec, x).successor
+    assume(succ is not None)
+    assert rank(spec, succ) == rank(spec, x) + 1
