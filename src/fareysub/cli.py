@@ -9,15 +9,14 @@ standard output, diagnostics to standard error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
+from itertools import islice
 from typing import Sequence
 
 from . import counting, maps, neighbors, verify
 from .fraction import DomainError, Fraction, parse_fraction
-from .sequences import SequenceKind, SequenceSpec, generate_sequence
+from .sequences import SequenceKind, SequenceSpec, _term_pairs
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -47,26 +46,32 @@ def _spec_metadata(spec: SequenceSpec) -> dict:
     return {"kind": spec.kind.value, "n": spec.n, "m": spec.m}
 
 
-def _emit_fractions(fractions: list[Fraction], fmt: str, metadata: dict) -> None:
-    if fmt == "plain":
-        print(" ".join(str(f) for f in fractions))
-    elif fmt == "json":
-        payload = {"fractions": [str(f) for f in fractions], "metadata": metadata}
-        print(json.dumps(payload))
-    else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["num", "den"])
-        for f in fractions:
-            writer.writerow([f.num, f.den])
-        sys.stdout.write(buffer.getvalue())
+# gen output per --format: the text before the first term, each term as a
+# template on (h, k), and the separator between terms.
+_GEN_LAYOUT = {
+    "plain": ("", "%d/%d", " "),
+    "json": ('{"fractions": [', '"%d/%d"', ", "),
+    "csv": ("num,den\n", "%d,%d\n", ""),
+}
+_GEN_BATCH = 1024
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
     spec = SequenceSpec(SequenceKind(args.kind), args.n, _require_m(args))
-    fractions = generate_sequence(spec)
-    metadata = _spec_metadata(spec) | {"cardinality": len(fractions)}
-    _emit_fractions(fractions, args.format, metadata)
+    head, term, sep = _GEN_LAYOUT[args.format]
+    pairs = _term_pairs(spec)
+    write = sys.stdout.write
+    # Terms stream out in batches; the first batch is computed before
+    # anything is written, so a failure leaves stdout empty.
+    count = 0
+    while batch := list(islice(pairs, _GEN_BATCH)):
+        write((sep if count else head) + sep.join(map(term.__mod__, batch)))
+        count += len(batch)
+    if args.format == "plain":
+        write("\n")
+    elif args.format == "json":
+        metadata = _spec_metadata(spec) | {"cardinality": count}
+        write(f'], "metadata": {json.dumps(metadata)}}}\n')
     return EXIT_OK
 
 

@@ -10,8 +10,11 @@ forms are in g_rank_variants, for verification.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
+from typing import Iterator
 
 from .fraction import HALF, ZERO, DomainError, Fraction, mirror
 from .neighbors import _LEFT_TO_F, _RIGHT_TO_G
@@ -81,9 +84,8 @@ class MoebiusTable:
         return self.values[d]
 
 
-@lru_cache(maxsize=4096)
-def _squarefree_divisors(h: int) -> tuple[tuple[int, int], ...]:
-    """Pairs (d, mu(d)) over the squarefree divisors d of h."""
+def _squarefree_divisors(h: int) -> list[tuple[int, int]]:
+    """Pairs (d, mu(d)) over the squarefree divisors d of h, by trial division."""
     divisors = [(1, 1)]
     p = 2
     while p * p <= h:
@@ -94,24 +96,59 @@ def _squarefree_divisors(h: int) -> tuple[tuple[int, int], ...]:
         p += 1 if p == 2 else 2
     if h > 1:
         divisors += [(d * h, -s) for d, s in divisors]
-    return tuple(divisors)
+    return divisors
 
 
-def _coprime_count_upto(h: int, x: int) -> int:
-    """Number of 1 <= j <= x with gcd(h, j) = 1."""
-    if x <= 0:
+def _squarefree_divisors_upto(n: int) -> Iterator[list[tuple[int, int]]]:
+    """_squarefree_divisors(j) for j = 1..n, each j factored once.
+
+    A smallest-prime-factor sieve replaces trial division: writing each d
+    into the multiples of d*d, from the largest d down, leaves every index
+    holding its least divisor above 1, which is prime.
+    """
+    spf = array("l", range(n + 1))
+    for d in range(isqrt(n), 1, -1):
+        spf[d * d :: d] = array("l", [d]) * len(range(d * d, n + 1, d))
+    for j in range(1, n + 1):
+        divisors = [(1, 1)]
+        rest = j
+        while rest > 1:
+            p = spf[rest]
+            while rest % p == 0:
+                rest //= p
+            divisors += [(d * p, -s) for d, s in divisors]
+        yield divisors
+
+
+def _coprime_in(divisors: list[tuple[int, int]], i: int, l: int) -> int:
+    """Count of j in [max(i, 1), l] coprime to the number with these divisors."""
+    i = max(i, 1) - 1
+    if i >= l:
         return 0
-    return sum(s * (x // d) for d, s in _squarefree_divisors(h))
+    return sum(s * (l // d - i // d) for d, s in divisors)
 
 
 def phi_interval(h: int, i: int, l: int) -> int:
     """Count of j in [max(i, 1), l] that are coprime to h; 0 if empty."""
     if h < 1:
         raise DomainError(f"phi_interval requires h >= 1, got {h}")
-    i = max(i, 1)
-    if i > l:
-        return 0
-    return _coprime_count_upto(h, l) - _coprime_count_upto(h, i - 1)
+    return _coprime_in(_squarefree_divisors(h), i, l)
+
+
+def _phi_sums(n: int, m: int, h: int, k: int) -> dict[str, int]:
+    """Both coprime-count sums for the members of gdiff(n, m) in (0, h/k].
+
+    m must be >= 0.  The "split-phi-sum" splits the same index set at
+    j = n-m+1 (capped at n when m = 0); both sums share the divisors of j.
+    """
+    pivot = min(n - m + 1, n)
+    phi_sum = split = 0
+    for j, divisors in enumerate(_squarefree_divisors_upto(n), 1):
+        top = (j * h) // k
+        term = _coprime_in(divisors, j + m - n, top)
+        phi_sum += term
+        split += _coprime_in(divisors, 1, top) if j <= pivot else term
+    return {"phi-sum": phi_sum, "split-phi-sum": split}
 
 
 def _check_even_halved(twice: int, what: str) -> int:
@@ -125,20 +162,14 @@ def g_cardinality_variants(n: int, m: int) -> dict[str, int]:
     if n < 1 or m > n - 1:
         raise DomainError(f"gdiff cardinality requires n >= 1 and m <= n-1, got n={n}, m={m}")
     m = max(m, 0)  # the difference bound is slack for m <= 0
-    phi_sum = 1 + sum(phi_interval(j, j + m - n, j) for j in range(1, n + 1))
-    # Split of the same index set at j = n-m+1 (capped at n when m = 0).
-    pivot = min(n - m + 1, n)
-    split = (
-        1
-        + sum(phi_interval(j, 1, j) for j in range(1, pivot + 1))
-        + sum(phi_interval(j, j + m - n, j) for j in range(pivot + 1, n + 1))
-    )
+    # 0/1 plus the members in (0, 1/1].
+    variants = {name: 1 + value for name, value in _phi_sums(n, m, 1, 1).items()}
     mu = _mu_upto(n)
     twice = 2 + sum(
         mu[d] * (2 * (n // d) - (n - m) // d) * ((n - m) // d + 1) for d in range(1, n + 1)
     )
-    moebius_sum = _check_even_halved(twice, f"gdiff cardinality n={n} m={m}")
-    return {"phi-sum": phi_sum, "split-phi-sum": split, "moebius-sum": moebius_sum}
+    variants["moebius-sum"] = _check_even_halved(twice, f"gdiff cardinality n={n} m={m}")
+    return variants
 
 
 def g_cardinality(n: int, m: int) -> int:
@@ -150,14 +181,20 @@ def g_cardinality(n: int, m: int) -> int:
     return values.pop()
 
 
+def _require_g_rankable(n: int, m: int, x: Fraction) -> None:
+    if x == ZERO or not member(SequenceSpec(SequenceKind.GDIFF, n, m), x):
+        raise DomainError(f"{x} has no rank in the gdiff family n={n}, m={m}")
+
+
 def g_rank(n: int, m: int, x: Fraction) -> int:
     """Zero-based index of x in the gdiff family, by the coprime-count sum."""
-    spec = SequenceSpec(SequenceKind.GDIFF, n, m)
-    if x == ZERO or not member(spec, x):
-        raise DomainError(f"{x} has no rank in the gdiff family n={n}, m={m}")
+    _require_g_rankable(n, m, x)
     m = max(m, 0)
     h, k = x.num, x.den
-    return sum(phi_interval(j, j + m - n, (j * h) // k) for j in range(1, n + 1))
+    return sum(
+        _coprime_in(divisors, j + m - n, (j * h) // k)
+        for j, divisors in enumerate(_squarefree_divisors_upto(n), 1)
+    )
 
 
 def g_rank_variants(n: int, m: int, x: Fraction) -> dict[str, int]:
@@ -167,13 +204,10 @@ def g_rank_variants(n: int, m: int, x: Fraction) -> dict[str, int]:
     form whose transcription is less certain; callers should report rather
     than trust a disagreement (none has been observed up to n = 30).
     """
-    phi_sum = g_rank(n, m, x)
+    _require_g_rankable(n, m, x)
     m = max(m, 0)
     h, k = x.num, x.den
-    pivot = min(n - m + 1, n)
-    split = sum(phi_interval(j, 1, (j * h) // k) for j in range(1, pivot + 1)) + sum(
-        phi_interval(j, j + m - n, (j * h) // k) for j in range(pivot + 1, n + 1)
-    )
+    variants = _phi_sums(n, m, h, k)
     mu = _mu_upto(n)
     twice = 2
     for d in range(1, n + 1):
@@ -182,8 +216,8 @@ def g_rank_variants(n: int, m: int, x: Fraction) -> dict[str, int]:
         nd, rd = n // d, (n - m) // d
         inner = sum(min(rd, (j * (k - h)) // k) for j in range(1, nd + 1))
         twice += mu[d] * (rd * (2 * nd - rd - 1) - 2 * inner)
-    moebius_sum = _check_even_halved(twice, f"gdiff rank n={n} m={m} x={x}")
-    return {"phi-sum": phi_sum, "split-phi-sum": split, "moebius-sum": moebius_sum}
+    variants["moebius-sum"] = _check_even_halved(twice, f"gdiff rank n={n} m={m} x={x}")
+    return variants
 
 
 def _g_rank_from_zero(n: int, m: int, x: Fraction) -> int:

@@ -49,6 +49,25 @@ class Fraction:
         return self.num * other.den >= other.num * self.den
 
 
+_new_object = object.__new__
+_set_num = Fraction.__dict__["num"].__set__
+_set_den = Fraction.__dict__["den"].__set__
+
+
+def _reduced(h: int, k: int) -> Fraction:
+    """Fraction h/k built without __post_init__'s checks or its gcd.
+
+    Only for callers that have proved 0 <= h <= k, k > 0 and gcd(h, k) = 1;
+    the generation kernel in sequences.py proves it by determinant and range
+    checks.  The slot descriptors write the fields directly, so the result
+    is indistinguishable from Fraction(h, k) and stays frozen.
+    """
+    f = _new_object(Fraction)
+    _set_num(f, h)
+    _set_den(f, k)
+    return f
+
+
 ZERO = Fraction(0, 1)
 ONE = Fraction(1, 1)
 HALF = Fraction(1, 2)

@@ -15,6 +15,7 @@ All functions are pure; DomainError marks queries outside a sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .fraction import (
     HALF,
@@ -23,10 +24,11 @@ from .fraction import (
     DomainError,
     Fraction,
     UnimodularMap,
+    _reduced,
     make_fraction,
     mirror,
 )
-from .sequences import SequenceKind, SequenceSpec, _floor_min, member
+from .sequences import SequenceKind, SequenceSpec, _g_walk, member
 
 # The four half-to-family bijections used to transport bool queries.
 _LEFT_TO_F = UnimodularMap(1, 0, -1, 1)  # h/k -> h/(k-h), order-preserving
@@ -52,6 +54,17 @@ def _require_g_member(n: int, m: int, x: Fraction) -> None:
 def _require_interior(x: Fraction) -> None:
     if x == ZERO or x == ONE:
         raise DomainError(f"{x} is an endpoint and has no two-sided neighbors")
+
+
+def _floor_min(num_a: int, den_a: int, num_b: int, den_b: int) -> int:
+    """floor(min(num_a/den_a, num_b/den_b)) with den_a > 0.
+
+    den_b == 0 marks the second ratio as +infinity.  The minimum is taken
+    over exact rationals first and only the chosen ratio is floored.
+    """
+    if den_b != 0 and num_b * den_a < num_a * den_b:
+        return num_b // den_b
+    return num_a // den_a
 
 
 def _g_step(n: int, m: int, x: Fraction, residue_sign: int) -> Fraction:
@@ -121,24 +134,18 @@ def g_next_from_pair(n: int, m: int, prev: Fraction, cur: Fraction) -> Fraction:
     """Third member of a consecutive gdiff triple, given the first two."""
     if not _is_g_consecutive(n, m, prev, cur):
         raise DomainError(f"{prev} and {cur} are not consecutive in the gdiff family n={n}, m={m}")
-    q = _floor_min(prev.den + n, cur.den, prev.den - prev.num + n - m, cur.den - cur.num)
-    num = q * cur.num - prev.num
-    den = q * cur.den - prev.den
-    if den <= 0 or not 0 <= num <= den:
-        raise DomainError(f"{cur} is the last element; no next term after ({prev}, {cur})")
-    return make_fraction(num, den)
+    for h, k in islice(_g_walk(n, m, prev.num, prev.den, cur.num, cur.den), 2, None):
+        return _reduced(h, k)
+    raise DomainError(f"{cur} is the last element; no next term after ({prev}, {cur})")
 
 
 def g_prev_from_pair(n: int, m: int, cur: Fraction, nxt: Fraction) -> Fraction:
     """First member of a consecutive gdiff triple, given the last two."""
     if not _is_g_consecutive(n, m, cur, nxt):
         raise DomainError(f"{cur} and {nxt} are not consecutive in the gdiff family n={n}, m={m}")
-    q = _floor_min(nxt.den + n, cur.den, nxt.den - nxt.num + n - m, cur.den - cur.num)
-    num = q * cur.num - nxt.num
-    den = q * cur.den - nxt.den
-    if den <= 0 or not 0 <= num <= den:
-        raise DomainError(f"{cur} is the first element; no term before ({cur}, {nxt})")
-    return make_fraction(num, den)
+    for h, k in islice(_g_walk(n, m, nxt.num, nxt.den, cur.num, cur.den), 2, None):
+        return _reduced(h, k)
+    raise DomainError(f"{cur} is the first element; no term before ({cur}, {nxt})")
 
 
 def _require_f_member(n: int, m: int, x: Fraction) -> None:

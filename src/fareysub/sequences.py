@@ -12,9 +12,10 @@ the order-n Farey sequence:
 
 `enumerate_sequence` is the deliberately naive oracle: it scans every
 denominator, filters by gcd and the membership predicate, and sorts.  The
-iterators below produce the same sequences through closed-form recurrences
-and are the ones to use at scale; the oracle is the trust anchor they are
-tested against.
+generators below produce the same sequences through one closed-form
+recurrence and are the ones to use at scale; the oracle is the trust anchor
+they are tested against.  They run on plain int pairs, one gdiff step at a
+time, and build each Fraction once at the end, without a gcd.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 import math
+from itertools import chain, islice
 from typing import Iterator
 
-from .fraction import HALF, ONE, ZERO, DomainError, Fraction, make_fraction, mirror
+from .fraction import HALF, DomainError, Fraction, _reduced
 
 #: Default guard for the quadratic enumeration oracle.
 MAX_ENUM_ORDER = 10_000
@@ -118,15 +120,85 @@ def halfsequences(n: int, m: int, *, max_order: int = MAX_ENUM_ORDER) -> tuple[l
     return seq[: i + 1], seq[i:]
 
 
-def _floor_min(num_a: int, den_a: int, num_b: int, den_b: int) -> int:
-    """floor(min(num_a/den_a, num_b/den_b)) with den_a > 0.
+def _g_walk(n: int, m: int, ah: int, ak: int, bh: int, bk: int) -> Iterator[tuple[int, int]]:
+    """The terms of gdiff(n, m) from a = ah/ak on, through b = bh/bk.
 
-    den_b == 0 marks the second ratio as +infinity.  The minimum is taken
-    over exact rationals first and only the chosen ratio is floored.
+    a and b must be consecutive in the family; a < b walks up, a > b walks
+    down.  The same step serves both directions: the term beyond b is
+    c = q*b - a with q the floor of min((a.den + n)/b.den,
+    (a.den - a.num + n - m)/(b.den - b.num)).  Yields int pairs (h, k), a
+    and b first, and ends after yielding 0/1 or 1/1.
+
+    det(b, q*b - a) = det(a, b) for every integer q, so once det(a, b) is
+    +-1 every term is reduced and adjacent to the one before; that is what
+    lets callers build Fractions without a gcd.  Each step also certifies
+    that c is the next member: c is in the family and the mediant b + c,
+    the simplest fraction between them, is not.  With the final endpoint
+    check this bounds the walk even if q were wrong.  A failure can only be
+    a bug here and raises RuntimeError, which, unlike assert, survives
+    python -O.
     """
-    if den_b != 0 and num_b * den_a < num_a * den_b:
-        return num_b // den_b
-    return num_a // den_a
+    sign = ak * bh - ah * bk
+    if sign != 1 and sign != -1:
+        raise RuntimeError(f"{ah}/{ak} and {bh}/{bk} are not adjacent (det {sign})")
+    yield ah, ak
+    yield bh, bk
+    if not 0 < bh < bk:
+        return
+    d = n - m
+    while True:
+        q = (ak + n) // bk
+        r = (ak - ah + d) // (bk - bh)
+        if r < q:
+            q = r
+        ch = q * bh - ah
+        ck = q * bk - ak
+        if ck > n or ck - ch > d or (bk + ck <= n and bk + ck - bh - ch <= d):
+            raise RuntimeError(f"gdiff({n}, {m}) step from {ah}/{ak}, {bh}/{bk} gave {ch}/{ck}")
+        if not 0 < ch < ck:
+            break
+        yield ch, ck
+        ah, ak, bh, bk = bh, bk, ch, ck
+    if ck != 1 or ch not in (0, 1):
+        raise RuntimeError(f"gdiff({n}, {m}) walk left [0/1, 1/1] at {ch}/{ck}")
+    yield ch, ck
+
+
+def _g_up(n: int, m: int) -> Iterator[tuple[int, int]]:
+    """gdiff(n, m) ascending as int pairs, seeded with 0/1 and 1/min(n-m+1, n)."""
+    return _g_walk(n, m, 0, 1, 1, min(n - m + 1, n))
+
+
+def _g_down(n: int, m: int) -> Iterator[tuple[int, int]]:
+    """gdiff(n, m) descending as int pairs, seeded with 1/1 and (n-1)/n."""
+    return _g_walk(n, m, 1, 1, n - 1, n)
+
+
+def _term_pairs(spec: SequenceSpec) -> Iterator[tuple[int, int]]:
+    """The terms of spec, ascending, as int pairs (h, k); nothing is materialised.
+
+    Every family is a gdiff family carried over by a unimodular map.  fnum
+    (n, m) is gdiff(n, n-m) walked down through the mirror h/k -> (k-h)/k.
+    The bool half up to 1/2 is fnum(n-m, m) through h/k -> h/(k+h), that is
+    gdiff(n-m, n-2m) walked down through h/k -> (k-h)/(2k-h); the half from
+    1/2 on is gdiff(m, 2m-n) walked up through h/k -> k/(2k-h).  Both halves
+    hold 1/2, the image of 0/1, where the downward walk is checked to end.
+    """
+    n, m, kind = spec.n, spec.m, spec.kind
+    if kind is SequenceKind.FULL:
+        return _g_up(n, 0)
+    assert m is not None
+    if kind is SequenceKind.GDIFF:
+        return _g_up(n, m)
+    if kind is SequenceKind.FNUM:
+        return ((k - h, k) for h, k in _g_down(n, n - m))
+    left = ((k - h, 2 * k - h) for h, k in _g_down(n - m, n - 2 * m))
+    right = ((k, 2 * k - h) for h, k in _g_up(m, 2 * m - n))
+    if kind is SequenceKind.BOOLEAN_LEFT:
+        return left
+    if kind is SequenceKind.BOOLEAN_RIGHT:
+        return right
+    return chain(left, islice(right, 1, None))
 
 
 def iterate_g(n: int, m: int) -> Iterator[Fraction]:
@@ -136,60 +208,29 @@ def iterate_g(n: int, m: int) -> Iterator[Fraction]:
     next-term recurrence on consecutive pairs.  m may be negative; the
     difference bound is then slack and the output equals the full family.
     """
-    if n < 1 or m > n - 1:
-        raise DomainError(f"gdiff iteration requires n >= 1 and m <= n-1, got n={n}, m={m}")
-    yield ZERO
-    cur = make_fraction(1, min(n - m + 1, n))
-    yield cur
-    prev = ZERO
-    while cur != ONE:
-        q = _floor_min(prev.den + n, cur.den, prev.den - prev.num + n - m, cur.den - cur.num)
-        prev, cur = cur, Fraction(q * cur.num - prev.num, q * cur.den - prev.den)
-        yield cur
+    return (_reduced(h, k) for h, k in _term_pairs(SequenceSpec(SequenceKind.GDIFF, n, m)))
 
 
 def iterate_f(n: int, m: int) -> Iterator[Fraction]:
     """Yield the fnum family (h <= m) ascending from 0/1 to 1/1.
 
-    Runs the gdiff iteration with complemented parameter and reflects every
-    term through h/k -> (k-h)/k, which reverses the order.
+    Walks the gdiff family with complemented parameter n - m down from 1/1
+    and reflects every term through h/k -> (k-h)/k, so the first term comes
+    out at once.
     """
-    if n < 1 or m < 1:
-        raise DomainError(f"fnum iteration requires n >= 1 and m >= 1, got n={n}, m={m}")
-    for g in reversed(list(iterate_g(n, n - m))):
-        yield mirror(g)
+    return (_reduced(h, k) for h, k in _term_pairs(SequenceSpec(SequenceKind.FNUM, n, m)))
 
 
 def generate_boolean(n: int, m: int) -> list[Fraction]:
     """The bool family, assembled from its two halves without enumeration.
 
     The left half is the image of the fnum family of order n-m under
-    h/k -> h/(k+h); the right half is the image of the fnum family of order
-    m under the order-reversing h/k -> k/(k+h).  The halves share 1/2.
+    h/k -> h/(k+h); the right half is the image of the gdiff family of
+    order m and parameter 2m-n under h/k -> k/(2k-h).  The halves share 1/2.
     """
-    if n <= 1 or not 0 < m < n:
-        raise DomainError(f"bool generation requires n > 1 and 0 < m < n, got n={n}, m={m}")
-    left = [Fraction(f.num, f.den + f.num) for f in iterate_f(n - m, m)]
-    right = [Fraction(f.den, f.den + f.num) for f in iterate_f(m, n - m)]
-    right.reverse()
-    if left[-1] != HALF or right[0] != HALF:
-        raise RuntimeError(f"bool halves for n={n}, m={m} do not meet at 1/2")
-    return left + right[1:]
+    return generate_sequence(SequenceSpec(SequenceKind.BOOLEAN, n, m))
 
 
 def generate_sequence(spec: SequenceSpec) -> list[Fraction]:
     """Recurrence-based counterpart of enumerate_sequence for any spec."""
-    if spec.kind is SequenceKind.FULL:
-        return list(iterate_g(spec.n, 0))
-    assert spec.m is not None
-    if spec.kind is SequenceKind.FNUM:
-        return list(iterate_f(spec.n, spec.m))
-    if spec.kind is SequenceKind.GDIFF:
-        return list(iterate_g(spec.n, spec.m))
-    seq = generate_boolean(spec.n, spec.m)
-    if spec.kind is SequenceKind.BOOLEAN:
-        return seq
-    i = seq.index(HALF)
-    if spec.kind is SequenceKind.BOOLEAN_LEFT:
-        return seq[: i + 1]
-    return seq[i:]
+    return [_reduced(h, k) for h, k in _term_pairs(spec)]

@@ -1,9 +1,17 @@
+import csv
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fareysub import parse_fraction
+from fareysub import SequenceKind, SequenceSpec, generate_sequence, parse_fraction
 from fareysub.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -56,6 +64,60 @@ def test_gen_domain_error(capsys):
     assert code == 2 and "fnum" in err
     code, _, err = run(capsys, "gen", "--kind", "bool", "-n", "1", "-m", "1")
     assert code == 2
+
+
+def _reference_gen(spec, fmt):
+    """gen output formatted from a whole generate_sequence list, term by term."""
+    fractions = generate_sequence(spec)
+    if fmt == "plain":
+        return " ".join(str(f) for f in fractions) + "\n"
+    if fmt == "json":
+        metadata = {"kind": spec.kind.value, "n": spec.n, "m": spec.m, "cardinality": len(fractions)}
+        return json.dumps({"fractions": [str(f) for f in fractions], "metadata": metadata}) + "\n"
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["num", "den"])
+    for f in fractions:
+        writer.writerow([f.num, f.den])
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize("kind", [kind.value for kind in SequenceKind])
+def test_gen_streams_the_same_bytes(capsys, kind, fmt):
+    # n = 60 gives more terms than one output batch for full, fnum and gdiff.
+    for n, m in [(2, 1), (7, 3), (31, 20), (60, 17), (60, 43)]:
+        spec = SequenceSpec(SequenceKind(kind), n, m)
+        argv = ["gen", "--kind", kind, "-n", str(n), "-m", str(m), "--format", fmt]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == _reference_gen(spec, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize(
+    "args",
+    [("full", "0", "0"), ("fnum", "6", "0"), ("gdiff", "6", "6"), ("bool", "1", "1"),
+     ("bool-left", "6", "6"), ("bool-right", "6", "0")],
+)
+def test_gen_domain_errors_print_nothing(capsys, args, fmt):
+    kind, n, m = args
+    code, out, err = run(capsys, "gen", "--kind", kind, "-n", n, "-m", m, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert "domain error" in err
+
+
+def test_gen_is_the_same_under_python_O():
+    argv = ["-m", "fareysub.cli", "gen", "--kind", "bool", "-n", "40", "-m", "17"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    runs = [
+        subprocess.run([sys.executable, *flags, *argv], env=env, capture_output=True, text=True, timeout=60)
+        for flags in ([], ["-O"])
+    ]
+    plain, optimized = runs
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stderr == optimized.stderr == ""
+    assert optimized.stdout == plain.stdout == _reference_gen(SequenceSpec(SequenceKind.BOOLEAN, 40, 17), "plain")
 
 
 def test_gen_usage_errors(capsys):

@@ -31,6 +31,7 @@ from fareysub import (
     rank,
     sequence_neighbors,
 )
+from fareysub import counting
 
 K = SequenceKind
 
@@ -318,3 +319,29 @@ def test_rank_of_successor_is_one_more(case):
     succ = sequence_neighbors(spec, x).successor
     assume(succ is not None)
     assert rank(spec, succ) == rank(spec, x) + 1
+
+
+def test_phi_sums_factor_each_order_once(monkeypatch):
+    tables = []
+    real_table = counting._squarefree_divisors_upto
+
+    def table(n):
+        tables.append(n)
+        return real_table(n)
+
+    def trial_division(h):
+        raise AssertionError(f"trial division of {h} inside a phi-sum")
+
+    monkeypatch.setattr(counting, "_squarefree_divisors_upto", table)
+    monkeypatch.setattr(counting, "_squarefree_divisors", trial_division)
+    assert g_cardinality_variants(300, 120)["phi-sum"] == g_cardinality(300, 120)
+    assert tables == [300, 300]
+    tables.clear()
+    assert set(g_rank_variants(300, 120, Fraction(7, 19)).values()) == {g_rank(300, 120, Fraction(7, 19))}
+    assert tables == [300, 300]
+
+
+def test_divisor_table_matches_trial_division():
+    for j, divisors in enumerate(counting._squarefree_divisors_upto(3000), 1):
+        assert sorted(divisors) == sorted(counting._squarefree_divisors(j))
+        assert all(moebius(d) == s for d, s in divisors)

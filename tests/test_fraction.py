@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from fareysub import (
@@ -15,6 +17,7 @@ from fareysub import (
     mirror,
     parse_fraction,
 )
+from fareysub.fraction import _reduced
 from fareysub.sequences import SequenceKind
 
 
@@ -153,3 +156,14 @@ def test_mirror_helper_is_the_mirror_matrix(oracle):
     for x in oracle(SequenceKind.FULL, 10):
         assert mirror(x) == MIRROR_MAP.apply(x)
         assert mirror(mirror(x)) == x
+
+
+@pytest.mark.parametrize("h, k", [(0, 1), (1, 1), (1, 2), (3, 7), (999_999_999, 1_000_000_000)])
+def test_trusted_construction_is_indistinguishable(h, k):
+    trusted, checked = _reduced(h, k), Fraction(h, k)
+    assert type(trusted) is Fraction
+    assert trusted == checked and hash(trusted) == hash(checked)
+    assert repr(trusted) == repr(checked) and str(trusted) == str(checked)
+    assert compare(trusted, checked) == 0 and not trusted < checked
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trusted.num = 2

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 
 from fareysub import (
@@ -13,7 +15,9 @@ from fareysub import (
     iterate_g,
     member,
     parse_fraction,
+    sequence_neighbors,
 )
+from fareysub.sequences import _g_down, _g_up, _g_walk, _term_pairs
 
 K = SequenceKind
 
@@ -193,3 +197,78 @@ def test_boolean_left_right_extraction(oracle):
             half = Fraction(1, 2)
             assert left == [x for x in whole if x <= half]
             assert right == [x for x in whole if x >= half]
+
+
+def _descending(spec):
+    """The terms of spec from its top end down: the kernel walked the other way."""
+    n, m = spec.n, spec.m
+    if spec.kind is K.GDIFF:
+        return _g_down(n, m)
+    if spec.kind is K.FNUM:
+        return ((k - h, k) for h, k in _g_up(n, n - m))
+    if spec.kind is K.BOOLEAN_LEFT:
+        return ((k - h, 2 * k - h) for h, k in _g_up(n - m, n - 2 * m))
+    return ((k, 2 * k - h) for h, k in _g_down(m, 2 * m - n))
+
+
+def _neighbor_chain(spec, start, steps, direction):
+    chain = [start]
+    while len(chain) < steps:
+        result = sequence_neighbors(spec, chain[-1])
+        step = result.successor if direction > 0 else result.predecessor
+        if step is None:
+            break
+        chain.append(step)
+    return [(f.num, f.den) for f in chain]
+
+
+STREAMED = (K.GDIFF, K.FNUM, K.BOOLEAN_LEFT, K.BOOLEAN_RIGHT)
+
+
+def test_descending_walk_reverses_the_generators():
+    for n in range(2, 30):
+        for kind in STREAMED:
+            for m in range(1, n):
+                spec = SequenceSpec(kind, n, m)
+                down = [Fraction(h, k) for h, k in _descending(spec)]
+                assert down[::-1] == generate_sequence(spec)
+
+
+@pytest.mark.parametrize("kind", STREAMED)
+@pytest.mark.parametrize("m", [1, 2, 333_333_333, 499_999_999, 500_000_000, 500_000_001, 999_999_998, 999_999_999])
+def test_both_ends_match_neighbor_chains_at_order_1e9(kind, m):
+    n = 10**9
+    spec = SequenceSpec(kind, n, m)
+    if kind is K.GDIFF:
+        head = [(f.num, f.den) for f in islice(iterate_g(n, m), 50)]
+    elif kind is K.FNUM:
+        head = [(f.num, f.den) for f in islice(iterate_f(n, m), 50)]
+    else:
+        head = list(islice(_term_pairs(spec), 50))
+    tail = list(islice(_descending(spec), 50))
+    first = Fraction(1, 2) if kind is K.BOOLEAN_RIGHT else Fraction(0, 1)
+    last = Fraction(1, 2) if kind is K.BOOLEAN_LEFT else Fraction(1, 1)
+    assert head == _neighbor_chain(spec, first, 50, +1)
+    assert tail == _neighbor_chain(spec, last, 50, -1)
+
+
+@pytest.mark.parametrize("m", [1, 7, 10**9 // 2, 10**9 - 1, 10**9 + 5])
+def test_iterate_f_streams_its_first_terms_at_once(m):
+    spec = SequenceSpec(K.FNUM, 10**9, m)
+    terms = iterate_f(10**9, m)
+    assert next(terms) == Fraction(0, 1)
+    assert [(f.num, f.den) for f in islice(terms, 3)] == _neighbor_chain(spec, Fraction(0, 1), 4, +1)[1:]
+
+
+def test_kernel_rejects_a_non_adjacent_pair():
+    with pytest.raises(RuntimeError):
+        next(_g_walk(6, 0, 0, 1, 2, 5))  # det(0/1, 2/5) = 2
+    with pytest.raises(RuntimeError):
+        next(_g_walk(6, 0, 1, 3, 2, 3))  # det(1/3, 2/3) = 3
+
+
+def test_kernel_walk_stops_at_the_endpoints():
+    assert list(_g_walk(6, 4, 4, 5, 5, 6)) == [(4, 5), (5, 6), (1, 1)]
+    assert list(_g_walk(6, 4, 5, 6, 1, 1)) == [(5, 6), (1, 1)]
+    assert list(_g_walk(6, 4, 1, 2, 1, 3)) == [(1, 2), (1, 3), (0, 1)]
+    assert list(_g_walk(6, 4, 1, 3, 0, 1)) == [(1, 3), (0, 1)]
