@@ -16,8 +16,8 @@ from functools import lru_cache
 from math import isqrt
 from typing import Iterator
 
+from . import maps
 from .fraction import HALF, ZERO, DomainError, Fraction, mirror
-from .neighbors import _LEFT_TO_F, _RIGHT_TO_G
 from .sequences import SequenceKind, SequenceSpec, member
 
 
@@ -228,6 +228,11 @@ def _g_rank_from_zero(n: int, m: int, x: Fraction) -> int:
 def _f_rank(q: int, p: int, x: Fraction) -> int:
     """Rank in the fnum family: the mirror reverses it onto gdiff(q, q - p)."""
     return f_cardinality(q, p) - 1 - _g_rank_from_zero(q, q - p, mirror(x))
+
+
+# The bool halves' transports onto fnum and gdiff, from the map catalog.
+_LEFT_TO_F = maps.get_map("thm_left_to_f").matrix  # h/k -> h/(k-h)
+_RIGHT_TO_G = maps.get_map("thm_right_to_g").matrix  # h/k -> (2h-k)/h
 
 
 def rank(spec: SequenceSpec, x: Fraction) -> int:

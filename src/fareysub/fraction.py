@@ -58,7 +58,8 @@ def _reduced(h: int, k: int) -> Fraction:
     """Fraction h/k built without __post_init__'s checks or its gcd.
 
     Only for callers that have proved 0 <= h <= k, k > 0 and gcd(h, k) = 1;
-    the generation kernel in sequences.py proves it by determinant and range
+    the generation kernel in sequences.py, the neighbor steps in
+    neighbors.py and UnimodularMap.apply prove it by determinant and range
     checks.  The slot descriptors write the fields directly, so the result
     is indistinguishable from Fraction(h, k) and stays frozen.
     """
@@ -173,9 +174,9 @@ class UnimodularMap:
                 f"image {num}/{den} of {x} under {self.rows()} leaves [0/1, 1/1]; "
                 "the fraction is not in this map's domain"
             )
-        # |det| = 1 keeps a reduced pair reduced; make_fraction still
-        # normalizes the 0-numerator case to 0/1.
-        return make_fraction(num, den)
+        # |det| = 1 keeps a reduced pair reduced, so a 0 numerator comes
+        # with den = 1 and the image needs no gcd.
+        return _reduced(num, den)
 
 
 IDENTITY_MAP = UnimodularMap(1, 0, 0, 1)

@@ -4,10 +4,23 @@ For the gdiff family the neighbor of h/k is found by solving a congruence
 for the unique starting point x0 in a window of h consecutive integers,
 forming y0 from it, and walking t* mediant steps along the ray
 (x0 + t*h) / (y0 + t*k).  t* is the floor of an exact rational minimum and
-is frequently negative.  Neighbors in the fnum family come from reflecting
-the gdiff construction through h/k -> (k-h)/k, and neighbors in the bool
-family come from transporting the query through the order-preserving half
-bijections.
+is frequently negative.  The other families are gdiff families carried over
+by unimodular maps: fnum onto gdiff(n, n-m) through the order-reversing
+mirror h/k -> (k-h)/k, the bool half up to 1/2 onto gdiff(n-m, n-2m)
+through the order-reversing h/k -> (k-2h)/(k-h), and the half from 1/2 on
+onto gdiff(m, 2m-n) through h/k -> (2h-k)/h.
+
+Queries run on plain int pairs: each public function checks membership
+once on entry, transports the pair, takes one gdiff step and builds a
+single Fraction at the end, without a gcd.  The step's result p/q satisfies
+k*p - h*q = +-1, which proves it reduced, and the maps keep it so.
+
+g_next_from_pair and g_prev_from_pair guard their input with the O(1)
+adjacency certificate: a < b are consecutive iff both are members,
+det(a, b) = 1 and their mediant is not a member.  Every fraction strictly
+between such a and b is i*a + j*b (on numerators and denominators) with
+i, j >= 1, and every membership bound is monotone in them, so the mediant
+is the first candidate.
 
 All functions are pure; DomainError marks queries outside a sequence.
 """
@@ -17,24 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .fraction import (
-    HALF,
-    ONE,
-    ZERO,
-    DomainError,
-    Fraction,
-    UnimodularMap,
-    _reduced,
-    make_fraction,
-    mirror,
-)
+from .fraction import HALF, ONE, ZERO, DomainError, Fraction, _reduced, make_fraction
 from .sequences import SequenceKind, SequenceSpec, _g_walk, member
-
-# The four half-to-family bijections used to transport bool queries.
-_LEFT_TO_F = UnimodularMap(1, 0, -1, 1)  # h/k -> h/(k-h), order-preserving
-_F_TO_LEFT = UnimodularMap(1, 0, 1, 1)  # h/k -> h/(k+h), order-preserving
-_RIGHT_TO_G = UnimodularMap(2, -1, 1, 0)  # h/k -> (2h-k)/h, order-preserving
-_G_TO_RIGHT = UnimodularMap(0, 1, -1, 2)  # h/k -> k/(2k-h), order-preserving
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,13 +43,13 @@ class NeighborResult:
     successor: Fraction | None
 
 
-def _require_g_member(n: int, m: int, x: Fraction) -> None:
-    if not member(SequenceSpec(SequenceKind.GDIFF, n, m), x):
-        raise DomainError(f"{x} is not in the gdiff family n={n}, m={m}")
+def _require_member(kind: SequenceKind, n: int, m: int | None, x: Fraction) -> None:
+    if not member(SequenceSpec(kind, n, m), x):
+        raise DomainError(f"{x} is not in the {kind.value} family n={n}, m={m}")
 
 
 def _require_interior(x: Fraction) -> None:
-    if x == ZERO or x == ONE:
+    if x.den == 1:  # 0/1 or 1/1
         raise DomainError(f"{x} is an endpoint and has no two-sided neighbors")
 
 
@@ -67,36 +64,69 @@ def _floor_min(num_a: int, den_a: int, num_b: int, den_b: int) -> int:
     return num_a // den_a
 
 
-def _g_step(n: int, m: int, x: Fraction, residue_sign: int) -> Fraction:
-    """Shared body of the gdiff predecessor/successor construction.
+def _g_pair(n: int, m: int, h: int, k: int, sign: int) -> tuple[int, int]:
+    """The neighbor p/q of the interior member h/k of gdiff(n, m), m >= 0.
 
-    residue_sign -1 solves k*x0 = -1 (mod h) and walks to the predecessor,
-    +1 solves k*x0 = +1 (mod h) and walks to the successor.
+    sign -1 solves k*x0 = -1 (mod h) and walks to the predecessor, +1 solves
+    k*x0 = +1 (mod h) and walks to the successor.  Then k*p - h*q = sign, so
+    p/q is reduced.  A failed check can only be a bug here and raises
+    RuntimeError, which, unlike assert, survives python -O.
     """
-    h, k = x.num, x.den
     # Unique solution in the window [m-h+1, m]; for h = 1 the congruence is
     # vacuous and the window collapses to x0 = m.
-    residue = (residue_sign * pow(k, -1, h)) % h if h > 1 else 0
+    residue = (sign * pow(k, -1, h)) % h if h > 1 else 0
     x0 = m - (m - residue) % h
-    y0, rem = divmod(k * x0 - residue_sign, h)
+    y0, rem = divmod(k * x0 - sign, h)
     if rem != 0:
-        raise RuntimeError(f"k*x0 - {residue_sign} is not divisible by h for x={x}, x0={x0}")
+        raise RuntimeError(f"k*x0 - {sign} is not divisible by h for x={h}/{k}, x0={x0}")
     t = _floor_min(n - m + x0 - y0, k - h, n - y0, k)
-    return make_fraction(x0 + t * h, y0 + t * k)
+    p, q = x0 + t * h, y0 + t * k
+    if not 0 <= p <= q:
+        raise RuntimeError(f"gdiff({n}, {m}) neighbor of {h}/{k} left [0/1, 1/1] at {p}/{q}")
+    return p, q
+
+
+def _g_neighbor(n: int, m: int, h: int, k: int, sign: int) -> tuple[int, int]:
+    """_g_pair extended to the ends: the term after 0/1 and the one before 1/1."""
+    if k == 1:
+        return (n - 1, n) if h else (1, min(n - m + 1, n))
+    return _g_pair(n, m, h, k, sign)
+
+
+def _neighbor_pair(kind: SequenceKind, n: int, m: int, h: int, k: int, sign: int) -> tuple[int, int]:
+    """The neighbor before (sign -1) or after (+1) the member h/k, as an int pair.
+
+    h/k must have a neighbor on that side; m is 0 for the full family.  The
+    bool families step on the half that holds the neighbor: 1/2 maps to 0/1
+    in both halves, so its predecessor comes from the left half and its
+    successor from the right.
+    """
+    if kind is SequenceKind.FULL or kind is SequenceKind.GDIFF:
+        return _g_neighbor(n, max(m, 0), h, k, sign)
+    if kind is SequenceKind.FNUM:
+        p, q = _g_neighbor(n, n - min(m, n), k - h, k, -sign)
+        return q - p, q
+    if 2 * h < k or (2 * h == k and sign < 0):
+        p, q = _g_neighbor(n - m, max(n - 2 * m, 0), k - 2 * h, k - h, -sign)
+        return q - p, 2 * q - p
+    p, q = _g_neighbor(m, max(2 * m - n, 0), 2 * h - k, h, sign)
+    return q, 2 * q - p
+
+
+def _interior_neighbor(kind: SequenceKind, n: int, m: int, x: Fraction, sign: int) -> Fraction:
+    _require_member(kind, n, m, x)
+    _require_interior(x)
+    return _reduced(*_neighbor_pair(kind, n, m, x.num, x.den, sign))
 
 
 def g_predecessor(n: int, m: int, x: Fraction) -> Fraction:
     """Fraction immediately before x in the gdiff family; x must be interior."""
-    _require_g_member(n, m, x)
-    _require_interior(x)
-    return _g_step(n, max(m, 0), x, -1)
+    return _interior_neighbor(SequenceKind.GDIFF, n, m, x, -1)
 
 
 def g_successor(n: int, m: int, x: Fraction) -> Fraction:
     """Fraction immediately after x in the gdiff family; x must be interior."""
-    _require_g_member(n, m, x)
-    _require_interior(x)
-    return _g_step(n, max(m, 0), x, +1)
+    return _interior_neighbor(SequenceKind.GDIFF, n, m, x, +1)
 
 
 def g_unit_fraction_neighbors(n: int, m: int, k: int) -> tuple[Fraction, Fraction]:
@@ -104,36 +134,28 @@ def g_unit_fraction_neighbors(n: int, m: int, k: int) -> tuple[Fraction, Fractio
     if n <= 1 or k <= 1:
         raise DomainError(f"unit-fraction neighbors require n > 1 and k > 1, got n={n}, k={k}")
     x = Fraction(1, k)
-    _require_g_member(n, m, x)
+    _require_member(SequenceKind.GDIFF, n, m, x)
     m = max(m, 0)
     q = _floor_min(n - m - 1, k - 1, n - 1, k)
     r = _floor_min(n - m + 1, k - 1, n + 1, k)
     return make_fraction(q, k * q + 1), make_fraction(r, k * r - 1)
 
 
-def _g_second(n: int, m: int) -> Fraction:
-    """The element right after 0/1 in the gdiff family."""
-    return make_fraction(1, min(n - m + 1, n))
-
-
-def _g_penultimate(n: int) -> Fraction:
-    """The element right before 1/1 in any gdiff family of order n."""
-    return make_fraction(n - 1, n) if n > 1 else ZERO
-
-
-def _is_g_consecutive(n: int, m: int, a: Fraction, b: Fraction) -> bool:
+def _require_g_consecutive(n: int, m: int, a: Fraction, b: Fraction) -> None:
+    """The adjacency certificate for a < b in gdiff(n, m); see the module docstring."""
     spec = SequenceSpec(SequenceKind.GDIFF, n, m)
-    if not (member(spec, a) and member(spec, b) and a < b):
-        return False
-    if a == ZERO:
-        return b == _g_second(n, m)
-    return g_successor(n, m, a) == b
+    if not (
+        a.den * b.num - a.num * b.den == 1
+        and member(spec, a)
+        and member(spec, b)
+        and not member(spec, _reduced(a.num + b.num, a.den + b.den))
+    ):
+        raise DomainError(f"{a} and {b} are not consecutive in the gdiff family n={n}, m={m}")
 
 
 def g_next_from_pair(n: int, m: int, prev: Fraction, cur: Fraction) -> Fraction:
     """Third member of a consecutive gdiff triple, given the first two."""
-    if not _is_g_consecutive(n, m, prev, cur):
-        raise DomainError(f"{prev} and {cur} are not consecutive in the gdiff family n={n}, m={m}")
+    _require_g_consecutive(n, m, prev, cur)
     for h, k in islice(_g_walk(n, m, prev.num, prev.den, cur.num, cur.den), 2, None):
         return _reduced(h, k)
     raise DomainError(f"{cur} is the last element; no next term after ({prev}, {cur})")
@@ -141,40 +163,20 @@ def g_next_from_pair(n: int, m: int, prev: Fraction, cur: Fraction) -> Fraction:
 
 def g_prev_from_pair(n: int, m: int, cur: Fraction, nxt: Fraction) -> Fraction:
     """First member of a consecutive gdiff triple, given the last two."""
-    if not _is_g_consecutive(n, m, cur, nxt):
-        raise DomainError(f"{cur} and {nxt} are not consecutive in the gdiff family n={n}, m={m}")
+    _require_g_consecutive(n, m, cur, nxt)
     for h, k in islice(_g_walk(n, m, nxt.num, nxt.den, cur.num, cur.den), 2, None):
         return _reduced(h, k)
     raise DomainError(f"{cur} is the first element; no term before ({cur}, {nxt})")
 
 
-def _require_f_member(n: int, m: int, x: Fraction) -> None:
-    if not member(SequenceSpec(SequenceKind.FNUM, n, m), x):
-        raise DomainError(f"{x} is not in the fnum family n={n}, m={m}")
-
-
 def f_predecessor(n: int, m: int, x: Fraction) -> Fraction:
     """Fraction immediately before x in the fnum family, via reflection."""
-    _require_f_member(n, m, x)
-    _require_interior(x)
-    return mirror(g_successor(n, n - min(m, n), mirror(x)))
+    return _interior_neighbor(SequenceKind.FNUM, n, m, x, -1)
 
 
 def f_successor(n: int, m: int, x: Fraction) -> Fraction:
     """Fraction immediately after x in the fnum family, via reflection."""
-    _require_f_member(n, m, x)
-    _require_interior(x)
-    return mirror(g_predecessor(n, n - min(m, n), mirror(x)))
-
-
-def _f_second(n: int) -> Fraction:
-    """The element right after 0/1 in any fnum family of order n."""
-    return mirror(_g_penultimate(n))
-
-
-def _f_penultimate(n: int, m: int) -> Fraction:
-    """The element right before 1/1 in the fnum family."""
-    return mirror(_g_second(n, n - min(m, n)))
+    return _interior_neighbor(SequenceKind.FNUM, n, m, x, +1)
 
 
 _THIRD = Fraction(1, 3)
@@ -189,8 +191,7 @@ def boolean_special_neighbors(n: int, m: int, anchor: Fraction) -> tuple[Fractio
     """
     if n == 2 * m:
         raise DomainError("special-anchor formulas require n != 2m")
-    if not member(SequenceSpec(SequenceKind.BOOLEAN, n, m), anchor):
-        raise DomainError(f"{anchor} is not in the bool family n={n}, m={m}")
+    _require_member(SequenceKind.BOOLEAN, n, m, anchor)
     if 2 * m > n:
         r = n - m
         if anchor == HALF:
@@ -232,41 +233,14 @@ def boolean_special_neighbors(n: int, m: int, anchor: Fraction) -> tuple[Fractio
     raise DomainError(f"no special-anchor formula for {anchor}; anchors are 1/2, 1/3, 2/3")
 
 
-def _require_bool_member(n: int, m: int, x: Fraction) -> None:
-    if not member(SequenceSpec(SequenceKind.BOOLEAN, n, m), x):
-        raise DomainError(f"{x} is not in the bool family n={n}, m={m}")
-
-
 def boolean_predecessor(n: int, m: int, x: Fraction) -> Fraction:
     """Fraction immediately before x in the bool family, via half bijections."""
-    _require_bool_member(n, m, x)
-    _require_interior(x)
-    if x < HALF:
-        return _F_TO_LEFT.apply(f_predecessor(n - m, m, _LEFT_TO_F.apply(x)))
-    if x == HALF:
-        return _F_TO_LEFT.apply(_f_penultimate(n - m, m))
-    return _G_TO_RIGHT.apply(g_predecessor(m, max(2 * m - n, 0), _RIGHT_TO_G.apply(x)))
+    return _interior_neighbor(SequenceKind.BOOLEAN, n, m, x, -1)
 
 
 def boolean_successor(n: int, m: int, x: Fraction) -> Fraction:
     """Fraction immediately after x in the bool family, via half bijections."""
-    _require_bool_member(n, m, x)
-    _require_interior(x)
-    if x < HALF:
-        return _F_TO_LEFT.apply(f_successor(n - m, m, _LEFT_TO_F.apply(x)))
-    if x == HALF:
-        return _G_TO_RIGHT.apply(_g_second(m, max(2 * m - n, 0)))
-    return _G_TO_RIGHT.apply(g_successor(m, max(2 * m - n, 0), _RIGHT_TO_G.apply(x)))
-
-
-def _boolean_second(n: int, m: int) -> Fraction:
-    return _F_TO_LEFT.apply(_f_second(n - m))
-
-
-def _boolean_penultimate(n: int, m: int) -> Fraction:
-    # (m-1)/m is the penultimate of the transported right half; for m = 1 the
-    # half is (1/2, 1/1) and _g_penultimate degenerates to 0/1 -> 1/2.
-    return _G_TO_RIGHT.apply(_g_penultimate(m))
+    return _interior_neighbor(SequenceKind.BOOLEAN, n, m, x, +1)
 
 
 def sequence_neighbors(spec: SequenceSpec, x: Fraction) -> NeighborResult:
@@ -277,31 +251,10 @@ def sequence_neighbors(spec: SequenceSpec, x: Fraction) -> NeighborResult:
     """
     if not member(spec, x):
         raise DomainError(f"{x} is not in the {spec.kind.value} family n={spec.n}, m={spec.m}")
-    n = spec.n
-    kind = spec.kind
-    if kind in (SequenceKind.FULL, SequenceKind.GDIFF):
-        m = 0 if kind is SequenceKind.FULL else spec.m
-        assert m is not None
-        pred = None if x == ZERO else _g_penultimate(n) if x == ONE else g_predecessor(n, m, x)
-        succ = None if x == ONE else _g_second(n, m) if x == ZERO else g_successor(n, m, x)
-        return NeighborResult(x, pred, succ)
-    if kind is SequenceKind.FNUM:
-        m = spec.m
-        assert m is not None
-        pred = None if x == ZERO else _f_penultimate(n, m) if x == ONE else f_predecessor(n, m, x)
-        succ = None if x == ONE else _f_second(n) if x == ZERO else f_successor(n, m, x)
-        return NeighborResult(x, pred, succ)
-    m = spec.m
-    assert m is not None
-    lo, hi = ZERO, ONE
-    if kind is SequenceKind.BOOLEAN_LEFT:
-        hi = HALF
-    elif kind is SequenceKind.BOOLEAN_RIGHT:
-        lo = HALF
-    pred = None
-    if x != lo:
-        pred = _boolean_penultimate(n, m) if x == ONE else boolean_predecessor(n, m, x)
-    succ = None
-    if x != hi:
-        succ = _boolean_second(n, m) if x == ZERO else boolean_successor(n, m, x)
+    kind, n, h, k = spec.kind, spec.n, x.num, x.den
+    m = 0 if spec.m is None else spec.m
+    first = HALF if kind is SequenceKind.BOOLEAN_RIGHT else ZERO
+    last = HALF if kind is SequenceKind.BOOLEAN_LEFT else ONE
+    pred = None if x == first else _reduced(*_neighbor_pair(kind, n, m, h, k, -1))
+    succ = None if x == last else _reduced(*_neighbor_pair(kind, n, m, h, k, +1))
     return NeighborResult(x, pred, succ)

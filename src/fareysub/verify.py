@@ -2,8 +2,8 @@
 
 Each suite sweeps a parameter range, compares closed forms or map images
 with the brute-force enumeration, and returns one summary row per checked
-property.  Enumerations are memoized for the duration of the process since
-the suites revisit the same sequences many times.
+property.  Enumerations are memoized in a bounded cache since the suites
+revisit the same sequences many times.
 """
 
 from __future__ import annotations
@@ -23,7 +23,9 @@ from .sequences import (
 )
 
 
-@lru_cache(maxsize=None)
+# Bounded, yet large enough that neither a `verify --max-n 20` sweep (1,244
+# specs) nor `structure_suite(60)` (9,270 specs) evicts.
+@lru_cache(maxsize=16384)
 def _cached(spec: SequenceSpec) -> tuple[Fraction, ...]:
     return tuple(enumerate_sequence(spec))
 

@@ -1,0 +1,38 @@
+"""Hypothesis strategies shared by the property tests."""
+
+from hypothesis import assume, strategies as st
+
+from fareysub import SequenceKind as K, SequenceSpec, make_fraction, member
+
+
+@st.composite
+def family_members(draw, max_n: int):
+    """A family of order 2 <= n <= max_n and a member of it, drawn as h/k and reduced.
+
+    Each membership condition caps one of h, k, k - h, 2h - k or k - 2h by
+    a bound >= 0, and dividing out gcd(h, k) keeps such a value under it.
+    """
+    kind = draw(st.sampled_from(list(K)))
+    n = draw(st.integers(2, max_n))
+    m = None
+    if kind is K.FNUM:
+        m = draw(st.integers(1, n + 2))
+    elif kind is K.GDIFF:
+        m = draw(st.integers(-2, n - 1))
+    elif kind is not K.FULL:
+        m = draw(st.integers(1, n - 1))
+    spec = SequenceSpec(kind, n, m)
+    k = draw(st.integers(1, n))
+    lo, hi = 0, k
+    if kind in (K.FNUM, K.BOOLEAN, K.BOOLEAN_LEFT, K.BOOLEAN_RIGHT):
+        hi = min(hi, m)
+    if kind in (K.GDIFF, K.BOOLEAN, K.BOOLEAN_LEFT, K.BOOLEAN_RIGHT):
+        lo = max(lo, k - (n - m))
+    if kind is K.BOOLEAN_LEFT:
+        hi = min(hi, k // 2)
+    if kind is K.BOOLEAN_RIGHT:
+        lo = max(lo, (k + 1) // 2)
+    assume(lo <= hi)
+    x = make_fraction(draw(st.integers(lo, hi)), k)
+    assert member(spec, x)
+    return spec, x

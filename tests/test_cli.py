@@ -107,17 +107,49 @@ def test_gen_domain_errors_print_nothing(capsys, args, fmt):
     assert "domain error" in err
 
 
+def _python(*args):
+    """Run a fresh interpreter on this checkout's src/."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+
+
 def test_gen_is_the_same_under_python_O():
     argv = ["-m", "fareysub.cli", "gen", "--kind", "bool", "-n", "40", "-m", "17"]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-    runs = [
-        subprocess.run([sys.executable, *flags, *argv], env=env, capture_output=True, text=True, timeout=60)
-        for flags in ([], ["-O"])
-    ]
-    plain, optimized = runs
+    plain, optimized = _python(*argv), _python("-O", *argv)
     assert plain.returncode == optimized.returncode == 0
     assert plain.stderr == optimized.stderr == ""
     assert optimized.stdout == plain.stdout == _reference_gen(SequenceSpec(SequenceKind.BOOLEAN, 40, 17), "plain")
+
+
+_QUERIES_UNDER_O = [
+    ["neighbors", "--kind", "full", "-n", "1000", "355/997"],
+    ["neighbors", "--kind", "fnum", "-n", "1000", "-m", "300", "299/1000"],
+    ["neighbors", "--kind", "gdiff", "-n", "1000", "-m", "700", "701/1000"],
+    ["neighbors", "--kind", "bool", "-n", "1000", "-m", "600", "1/2"],
+    ["neighbors", "--kind", "bool-left", "-n", "1000", "-m", "600", "333/700"],
+    ["neighbors", "--kind", "bool-right", "-n", "1000", "-m", "600", "599/990"],
+    ["map", "--name", "thm_f_to_left", "-n", "6", "-m", "4", "1/2"],
+    ["map", "--name", "mirror_full", "-n", "6", "2/5"],
+    ["map", "--name", "thm_g_to_right", "-n", "10", "-m", "7", "3/5"],
+]
+
+
+@pytest.mark.parametrize("argv", _QUERIES_UNDER_O, ids=lambda argv: " ".join(argv[:3]))
+def test_queries_are_the_same_under_python_O(capsys, argv):
+    plain, optimized = _python("-m", "fareysub.cli", *argv), _python("-O", "-m", "fareysub.cli", *argv)
+    code, out, _ = run(capsys, *argv)
+    assert plain.returncode == optimized.returncode == code == 0
+    assert plain.stderr == optimized.stderr == ""
+    assert optimized.stdout == plain.stdout == out
+
+
+def test_neighbor_invariant_survives_python_O():
+    # 1/7 is no member of order 5; the successor step leaves [0/1, 1/1] and
+    # its range check must still fire when asserts are stripped.
+    code = "from fareysub.neighbors import _g_pair; _g_pair(5, 0, 1, 7, 1)"
+    proc = _python("-O", "-c", code)
+    assert proc.returncode == 1
+    assert "RuntimeError" in proc.stderr and "left [0/1, 1/1]" in proc.stderr
 
 
 def test_gen_usage_errors(capsys):

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, settings
 
 from fareysub import (
     HALF,
@@ -21,8 +21,6 @@ from fareysub import (
     g_cardinality_variants,
     g_rank,
     g_rank_variants,
-    make_fraction,
-    member,
     moebius,
     moebius_floor_square_sum,
     moebius_floor_sum,
@@ -32,6 +30,7 @@ from fareysub import (
     sequence_neighbors,
 )
 from fareysub import counting
+from strategies import family_members
 
 K = SequenceKind
 
@@ -279,41 +278,8 @@ def test_rank_rejects_non_members():
         rank(SequenceSpec(K.BOOLEAN_LEFT, 6, 4), parse_fraction("3/5"))
 
 
-@st.composite
-def _members(draw):
-    """A family of order n <= 3000 and a member of it, drawn as h/k and reduced.
-
-    Each membership condition caps one of h, k, k - h, 2h - k or k - 2h by
-    a bound >= 0, and dividing out gcd(h, k) keeps such a value under it.
-    """
-    kind = draw(st.sampled_from(list(K)))
-    n = draw(st.integers(2, 3000))
-    m = None
-    if kind is K.FNUM:
-        m = draw(st.integers(1, n + 2))
-    elif kind is K.GDIFF:
-        m = draw(st.integers(-2, n - 1))
-    elif kind is not K.FULL:
-        m = draw(st.integers(1, n - 1))
-    spec = SequenceSpec(kind, n, m)
-    k = draw(st.integers(1, n))
-    lo, hi = 0, k
-    if kind in (K.FNUM, K.BOOLEAN, K.BOOLEAN_LEFT, K.BOOLEAN_RIGHT):
-        hi = min(hi, m)
-    if kind in (K.GDIFF, K.BOOLEAN, K.BOOLEAN_LEFT, K.BOOLEAN_RIGHT):
-        lo = max(lo, k - (n - m))
-    if kind is K.BOOLEAN_LEFT:
-        hi = min(hi, k // 2)
-    if kind is K.BOOLEAN_RIGHT:
-        lo = max(lo, (k + 1) // 2)
-    assume(lo <= hi)
-    x = make_fraction(draw(st.integers(lo, hi)), k)
-    assert member(spec, x)
-    return spec, x
-
-
 @settings(max_examples=100, deadline=None)
-@given(_members())
+@given(family_members(3000))
 def test_rank_of_successor_is_one_more(case):
     spec, x = case
     succ = sequence_neighbors(spec, x).successor

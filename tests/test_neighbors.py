@@ -1,6 +1,10 @@
 import pytest
+from hypothesis import given, settings
 
 from fareysub import (
+    HALF,
+    ONE,
+    ZERO,
     DomainError,
     Fraction,
     SequenceKind,
@@ -20,6 +24,7 @@ from fareysub import (
     parse_fraction,
     sequence_neighbors,
 )
+from strategies import family_members
 
 K = SequenceKind
 frac = parse_fraction
@@ -229,3 +234,73 @@ def test_sequence_neighbors_dispatch(oracle):
 def test_sequence_neighbors_rejects_non_member():
     with pytest.raises(DomainError):
         sequence_neighbors(SequenceSpec(K.GDIFF, 6, 4), frac("5/7"))
+
+
+def _pair_outcome(step, n, m, a, b):
+    """What a *_from_pair call returns, or which DomainError it raises."""
+    try:
+        return step(n, m, a, b)
+    except DomainError as exc:
+        return "not consecutive" if "not consecutive" in str(exc) else "no further term"
+
+
+def test_pair_guard_accepts_exactly_the_consecutive_pairs(oracle):
+    # The O(1) certificate guard against the oracle's order, over every
+    # ordered pair of members; adjacent pairs at an end pass the guard and
+    # then find no further term.
+    for n in range(1, 13):
+        for m in range(-2, n):
+            seq = oracle(K.GDIFF, n, m)
+            last = len(seq) - 1
+            for i, a in enumerate(seq):
+                for j, b in enumerate(seq):
+                    if j != i + 1:
+                        want_next = want_prev = "not consecutive"
+                    else:
+                        want_next = seq[j + 1] if j < last else "no further term"
+                        want_prev = seq[i - 1] if i > 0 else "no further term"
+                    assert _pair_outcome(g_next_from_pair, n, m, a, b) == want_next, (n, m, a, b)
+                    assert _pair_outcome(g_prev_from_pair, n, m, a, b) == want_prev, (n, m, a, b)
+
+
+def _certified(spec, a, b):
+    """The adjacency certificate: a < b are consecutive members of spec."""
+    return (
+        member(spec, a)
+        and member(spec, b)
+        and adjacency_determinant(a, b) == 1
+        and not member(spec, Fraction(a.num + b.num, a.den + b.den))
+    )
+
+
+def _check_neighbors(spec, x):
+    res = sequence_neighbors(spec, x)
+    first = HALF if spec.kind is K.BOOLEAN_RIGHT else ZERO
+    last = HALF if spec.kind is K.BOOLEAN_LEFT else ONE
+    assert res.target == x
+    assert (res.predecessor is None) == (x == first)
+    assert (res.successor is None) == (x == last)
+    if res.predecessor is not None:
+        assert _certified(spec, res.predecessor, x)
+        assert sequence_neighbors(spec, res.predecessor).successor == x
+    if res.successor is not None:
+        assert _certified(spec, x, res.successor)
+        assert sequence_neighbors(spec, res.successor).predecessor == x
+
+
+@settings(max_examples=400, deadline=None)
+@given(family_members(10**9))
+def test_sequence_neighbors_are_certified_up_to_n_1e9(case):
+    _check_neighbors(*case)
+
+
+@pytest.mark.parametrize("kind", list(K))
+@pytest.mark.parametrize("n", [2, 3, 10**9])
+def test_sequence_neighbors_at_the_ends_up_to_n_1e9(kind, n):
+    for m in {None} if kind is K.FULL else {1, (n + 1) // 2, n - 1}:
+        if kind is K.GDIFF:
+            m -= 1
+        spec = SequenceSpec(kind, n, m)
+        for x in (ZERO, HALF, ONE):
+            if member(spec, x):
+                _check_neighbors(spec, x)
