@@ -16,7 +16,7 @@ from typing import Sequence
 
 from . import counting, maps, neighbors, verify
 from .fraction import DomainError, Fraction, parse_fraction
-from .sequences import SequenceKind, SequenceSpec, _term_pairs
+from .sequences import SequenceKind, SequenceSpec, _pieces, _term_pairs
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -96,21 +96,15 @@ def cmd_neighbors(args: argparse.Namespace) -> int:
 def _cardinality_variants(spec: SequenceSpec) -> tuple[str, dict[str, int]]:
     """The reported formula's name and every closed form of the family size."""
     n, m = spec.n, spec.m
-    if spec.kind is SequenceKind.FULL:
-        return "moebius-sum", counting.f_cardinality_variants(n, n)
-    assert m is not None
-    if spec.kind is SequenceKind.FNUM:
-        return "moebius-sum", counting.f_cardinality_variants(n, m)
     if spec.kind is SequenceKind.GDIFF:
+        assert m is not None
         return "phi-sum", counting.g_cardinality_variants(n, m)
     if spec.kind is SequenceKind.BOOLEAN:
+        assert m is not None
         return "half-sum", counting.boolean_cardinality_variants(n, m)
-    # Half sizes via the order-preserving bijections onto fnum families.
-    if spec.kind is SequenceKind.BOOLEAN_LEFT:
-        q, p = n - m, m
-    else:
-        q, p = m, n - m
-    return "moebius-sum", counting.f_cardinality_variants(q, p)
+    # One piece, gdiff(n', m'): as large as fnum(n', n' - m'), its mirror image.
+    ((n, m, _, _),) = _pieces(spec)
+    return "moebius-sum", counting.f_cardinality_variants(n, n - m)
 
 
 def cmd_card(args: argparse.Namespace) -> int:

@@ -16,9 +16,8 @@ from functools import lru_cache
 from math import isqrt
 from typing import Iterator
 
-from . import maps
-from .fraction import HALF, ZERO, DomainError, Fraction, mirror
-from .sequences import SequenceKind, SequenceSpec, member
+from .fraction import ZERO, DomainError, Fraction
+from .sequences import SequenceKind, SequenceSpec, _piece, _pieces, _require_member, member
 
 
 def moebius(d: int) -> int:
@@ -220,47 +219,24 @@ def g_rank_variants(n: int, m: int, x: Fraction) -> dict[str, int]:
     return variants
 
 
-def _g_rank_from_zero(n: int, m: int, x: Fraction) -> int:
-    """g_rank extended to 0/1, the first element of every gdiff family."""
-    return 0 if x == ZERO else g_rank(n, m, x)
-
-
-def _f_rank(q: int, p: int, x: Fraction) -> int:
-    """Rank in the fnum family: the mirror reverses it onto gdiff(q, q - p)."""
-    return f_cardinality(q, p) - 1 - _g_rank_from_zero(q, q - p, mirror(x))
-
-
-# The bool halves' transports onto fnum and gdiff, from the map catalog.
-_LEFT_TO_F = maps.get_map("thm_left_to_f").matrix  # h/k -> h/(k-h)
-_RIGHT_TO_G = maps.get_map("thm_right_to_g").matrix  # h/k -> (2h-k)/h
-
-
 def rank(spec: SequenceSpec, x: Fraction) -> int:
     """Zero-based index of x in any of the six families, without enumeration.
 
-    Every family is carried to a gdiff family and ranked there by g_rank:
-    fnum through the order-reversing mirror onto gdiff(n, n - m), the bool
-    half below 1/2 onto fnum(n - m, m) by h/k -> h/(k-h), and the half above
-    onto gdiff(m, 2m - n) by h/k -> (2h-k)/h.  1/2 closes the left half of
-    bool and opens bool-right.
+    x is carried back into its piece of `sequences._pieces` and ranked there
+    by g_rank, from the top if the piece's map reverses the order; past 1/2
+    the bool family adds the first half, which shares 1/2 with the second.
+    A piece gdiff(n', m') has |fnum(n', n' - m')| members, by the mirror.
     """
-    if not member(spec, x):
-        raise DomainError(f"{x} is not in the {spec.kind.value} family n={spec.n}, m={spec.m}")
-    n, kind = spec.n, spec.kind
-    if kind is SequenceKind.FULL:
-        return _g_rank_from_zero(n, 0, x)
-    m = spec.m
-    assert m is not None
-    if kind is SequenceKind.GDIFF:
-        return _g_rank_from_zero(n, m, x)
-    if kind is SequenceKind.FNUM:
-        return _f_rank(n, m, x)
-    if kind is SequenceKind.BOOLEAN_RIGHT:
-        return _g_rank_from_zero(m, 2 * m - n, _RIGHT_TO_G.apply(x))
-    if x <= HALF:
-        return _f_rank(n - m, m, _LEFT_TO_F.apply(x))
-    # Past 1/2: the whole left half, 1/2 itself counted once, then the right.
-    return f_cardinality(n - m, m) - 1 + _g_rank_from_zero(m, 2 * m - n, _RIGHT_TO_G.apply(x))
+    _require_member(spec, x)
+    pieces = _pieces(spec)
+    n, m, M, reverses = piece = _piece(pieces, x.num, x.den, -1)
+    y = M.inverse().apply(x)
+    index = g_rank(n, m, y) if y.num else 0
+    if reverses:
+        index = f_cardinality(n, n - m) - 1 - index
+    if piece is not pieces[0]:
+        index += f_cardinality(pieces[0][0], pieces[0][0] - pieces[0][1]) - 1
+    return index
 
 
 def f_cardinality_variants(q: int, p: int) -> dict[str, int]:

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .fraction import DomainError, Fraction, UnimodularMap
+from .fraction import MIRROR_MAP, DomainError, Fraction, UnimodularMap
 from .sequences import SequenceKind, SequenceSpec, enumerate_sequence, member
+from .sequences import _G_TO_RIGHT, _GDUAL_TO_LEFT
 
 
 class Direction(str, Enum):
@@ -76,8 +77,6 @@ def _bool(kind: SequenceKind, complement: bool = False) -> SpecFactory:
 _LEFT = _bool(SequenceKind.BOOLEAN_LEFT)
 _RIGHT = _bool(SequenceKind.BOOLEAN_RIGHT)
 
-_MIRROR = UnimodularMap(-1, 1, 0, 1)
-
 
 def _SAME(n: int, m: int) -> tuple[int, int]:
     return n, m
@@ -91,7 +90,7 @@ def _build_catalog() -> tuple[NamedMap, ...]:
     entries = [
         NamedMap(
             "mirror_full",
-            _MIRROR,
+            MIRROR_MAP,
             _full,
             _full,
             Direction.REVERSING,
@@ -101,7 +100,7 @@ def _build_catalog() -> tuple[NamedMap, ...]:
         ),
         NamedMap(
             "mirror_boolean",
-            _MIRROR,
+            MIRROR_MAP,
             _bool(SequenceKind.BOOLEAN),
             _bool(SequenceKind.BOOLEAN, complement=True),
             Direction.REVERSING,
@@ -111,7 +110,7 @@ def _build_catalog() -> tuple[NamedMap, ...]:
         ),
         NamedMap(
             "lemma_f_to_g",
-            _MIRROR,
+            MIRROR_MAP,
             _fnum(lambda n, m: n, lambda n, m: m),
             _gdiff(lambda n, m: n, lambda n, m: n - m),
             Direction.REVERSING,
@@ -121,7 +120,7 @@ def _build_catalog() -> tuple[NamedMap, ...]:
         ),
         NamedMap(
             "lemma_g_to_f",
-            _MIRROR,
+            MIRROR_MAP,
             _gdiff(lambda n, m: n, lambda n, m: m),
             _fnum(lambda n, m: n, lambda n, m: n - m),
             Direction.REVERSING,
@@ -151,7 +150,7 @@ def _build_catalog() -> tuple[NamedMap, ...]:
         ),
         NamedMap(
             "thm_right_to_g",
-            UnimodularMap(2, -1, 1, 0),  # h/k -> (2h-k)/h
+            _G_TO_RIGHT.inverse(),  # h/k -> (2h-k)/h
             _RIGHT,
             _gdiff(lambda n, m: m, lambda n, m: 2 * m - n),
             Direction.PRESERVING,
@@ -161,7 +160,7 @@ def _build_catalog() -> tuple[NamedMap, ...]:
         ),
         NamedMap(
             "thm_g_to_right",
-            UnimodularMap(0, 1, -1, 2),  # h/k -> k/(2k-h)
+            _G_TO_RIGHT,  # h/k -> k/(2k-h)
             _gdiff(lambda n, m: m, lambda n, m: 2 * m - n),
             _RIGHT,
             Direction.PRESERVING,
@@ -171,7 +170,7 @@ def _build_catalog() -> tuple[NamedMap, ...]:
         ),
         NamedMap(
             "thm_left_to_gdual",
-            UnimodularMap(-2, 1, -1, 1),  # h/k -> (k-2h)/(k-h)
+            _GDUAL_TO_LEFT.inverse(),  # h/k -> (k-2h)/(k-h)
             _LEFT,
             _gdiff(lambda n, m: n - m, lambda n, m: n - 2 * m),
             Direction.REVERSING,
@@ -181,7 +180,7 @@ def _build_catalog() -> tuple[NamedMap, ...]:
         ),
         NamedMap(
             "thm_gdual_to_left",
-            UnimodularMap(-1, 1, -1, 2),  # h/k -> (k-h)/(2k-h)
+            _GDUAL_TO_LEFT,  # h/k -> (k-h)/(2k-h)
             _gdiff(lambda n, m: n - m, lambda n, m: n - 2 * m),
             _LEFT,
             Direction.REVERSING,
@@ -233,7 +232,7 @@ def _build_catalog() -> tuple[NamedMap, ...]:
         ),
         NamedMap(
             "prop_left_to_right_rev",
-            _MIRROR,
+            MIRROR_MAP,
             _LEFT,
             _RIGHT,
             Direction.REVERSING,
@@ -265,7 +264,7 @@ def _build_catalog() -> tuple[NamedMap, ...]:
         ),
         NamedMap(
             "prop_right_to_left_rev",
-            _MIRROR,
+            MIRROR_MAP,
             _RIGHT,
             _LEFT,
             Direction.REVERSING,
@@ -412,20 +411,15 @@ def verify_map(
 
 
 def valid_parameter_pairs(map_id: str, max_n: int) -> list[tuple[int, int]]:
-    """All (n, m) with n <= max_n at which a map is defined and constrained."""
+    """All (n, m) with n <= max_n at which a map is defined and constrained.
+
+    m runs over 0..n and the specs and the constraint keep what is valid;
+    mirror_full, whose specs ignore m, takes m = 0 only.
+    """
     entry = get_map(map_id)
     pairs = []
     for n in range(1, max_n + 1):
-        if entry.id == "mirror_full":
-            pairs.append((n, 0))
-            continue
-        if entry.id == "lemma_f_to_g":
-            candidates = range(1, n + 1)
-        elif entry.id == "lemma_g_to_f":
-            candidates = range(0, n)
-        else:
-            candidates = range(1, n)
-        for m in candidates:
+        for m in range(0, 1 if entry.id == "mirror_full" else n + 1):
             if entry.constraint is not None and not entry.constraint(n, m):
                 continue
             try:

@@ -4,15 +4,13 @@ For the gdiff family the neighbor of h/k is found by solving a congruence
 for the unique starting point x0 in a window of h consecutive integers,
 forming y0 from it, and walking t* mediant steps along the ray
 (x0 + t*h) / (y0 + t*k).  t* is the floor of an exact rational minimum and
-is frequently negative.  The other families are gdiff families carried over
-by unimodular maps: fnum onto gdiff(n, n-m) through the order-reversing
-mirror h/k -> (k-h)/k, the bool half up to 1/2 onto gdiff(n-m, n-2m)
-through the order-reversing h/k -> (k-2h)/(k-h), and the half from 1/2 on
-onto gdiff(m, 2m-n) through h/k -> (2h-k)/h.
+is frequently negative.  Every other family is carried to a gdiff family
+and back by the maps of `sequences._pieces`.
 
 Queries run on plain int pairs: each public function checks membership
-once on entry, transports the pair, takes one gdiff step and builds a
-single Fraction at the end, without a gcd.  The step's result p/q satisfies
+once on entry, carries the pair back to its piece, steps (the other way if
+the piece's map reverses the order), carries the result forward and builds
+one Fraction at the end, without a gcd.  The step's result p/q satisfies
 k*p - h*q = +-1, which proves it reduced, and the maps keep it so.
 
 g_next_from_pair and g_prev_from_pair guard their input with the O(1)
@@ -30,8 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .fraction import HALF, ONE, ZERO, DomainError, Fraction, _reduced, make_fraction
-from .sequences import SequenceKind, SequenceSpec, _g_walk, member
+from .fraction import HALF, IDENTITY_MAP, ONE, ZERO, DomainError, Fraction, _reduced, make_fraction
+from .sequences import SequenceKind, SequenceSpec, _g_walk, _require_member, member
+from .sequences import _Piece, _piece, _pieces
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,11 +40,6 @@ class NeighborResult:
     target: Fraction
     predecessor: Fraction | None
     successor: Fraction | None
-
-
-def _require_member(kind: SequenceKind, n: int, m: int | None, x: Fraction) -> None:
-    if not member(SequenceSpec(kind, n, m), x):
-        raise DomainError(f"{x} is not in the {kind.value} family n={n}, m={m}")
 
 
 def _require_interior(x: Fraction) -> None:
@@ -93,30 +87,28 @@ def _g_neighbor(n: int, m: int, h: int, k: int, sign: int) -> tuple[int, int]:
     return _g_pair(n, m, h, k, sign)
 
 
-def _neighbor_pair(kind: SequenceKind, n: int, m: int, h: int, k: int, sign: int) -> tuple[int, int]:
+def _neighbor_pair(pieces: tuple[_Piece, ...], h: int, k: int, sign: int) -> tuple[int, int]:
     """The neighbor before (sign -1) or after (+1) the member h/k, as an int pair.
 
-    h/k must have a neighbor on that side; m is 0 for the full family.  The
-    bool families step on the half that holds the neighbor: 1/2 maps to 0/1
-    in both halves, so its predecessor comes from the left half and its
-    successor from the right.
+    h/k must have a neighbor on that side.  The step is taken in the piece
+    that holds the neighbor, on h/k carried back by M^-1, which is det(M)
+    times the adjugate of M.
     """
-    if kind is SequenceKind.FULL or kind is SequenceKind.GDIFF:
-        return _g_neighbor(n, max(m, 0), h, k, sign)
-    if kind is SequenceKind.FNUM:
-        p, q = _g_neighbor(n, n - min(m, n), k - h, k, -sign)
-        return q - p, q
-    if 2 * h < k or (2 * h == k and sign < 0):
-        p, q = _g_neighbor(n - m, max(n - 2 * m, 0), k - 2 * h, k - h, -sign)
-        return q - p, 2 * q - p
-    p, q = _g_neighbor(m, max(2 * m - n, 0), 2 * h - k, h, sign)
-    return q, 2 * q - p
+    n, m, M, reverses = _piece(pieces, h, k, sign)
+    if M is IDENTITY_MAP:
+        return _g_neighbor(n, m, h, k, sign)
+    a, b, c, d = M.a, M.b, M.c, M.d
+    det = a * d - b * c
+    u, v = det * (d * h - b * k), det * (a * k - c * h)
+    p, q = _g_neighbor(n, m, u, v, -sign if reverses else sign)
+    return a * p + b * q, c * p + d * q
 
 
 def _interior_neighbor(kind: SequenceKind, n: int, m: int, x: Fraction, sign: int) -> Fraction:
-    _require_member(kind, n, m, x)
+    spec = SequenceSpec(kind, n, m)
+    _require_member(spec, x)
     _require_interior(x)
-    return _reduced(*_neighbor_pair(kind, n, m, x.num, x.den, sign))
+    return _reduced(*_neighbor_pair(_pieces(spec), x.num, x.den, sign))
 
 
 def g_predecessor(n: int, m: int, x: Fraction) -> Fraction:
@@ -134,7 +126,7 @@ def g_unit_fraction_neighbors(n: int, m: int, k: int) -> tuple[Fraction, Fractio
     if n <= 1 or k <= 1:
         raise DomainError(f"unit-fraction neighbors require n > 1 and k > 1, got n={n}, k={k}")
     x = Fraction(1, k)
-    _require_member(SequenceKind.GDIFF, n, m, x)
+    _require_member(SequenceSpec(SequenceKind.GDIFF, n, m), x)
     m = max(m, 0)
     q = _floor_min(n - m - 1, k - 1, n - 1, k)
     r = _floor_min(n - m + 1, k - 1, n + 1, k)
@@ -191,7 +183,7 @@ def boolean_special_neighbors(n: int, m: int, anchor: Fraction) -> tuple[Fractio
     """
     if n == 2 * m:
         raise DomainError("special-anchor formulas require n != 2m")
-    _require_member(SequenceKind.BOOLEAN, n, m, anchor)
+    _require_member(SequenceSpec(SequenceKind.BOOLEAN, n, m), anchor)
     if 2 * m > n:
         r = n - m
         if anchor == HALF:
@@ -249,12 +241,10 @@ def sequence_neighbors(spec: SequenceSpec, x: Fraction) -> NeighborResult:
     The predecessor is None exactly when x is the first element of the
     sequence and the successor is None exactly when x is the last.
     """
-    if not member(spec, x):
-        raise DomainError(f"{x} is not in the {spec.kind.value} family n={spec.n}, m={spec.m}")
-    kind, n, h, k = spec.kind, spec.n, x.num, x.den
-    m = 0 if spec.m is None else spec.m
+    _require_member(spec, x)
+    kind, pieces, h, k = spec.kind, _pieces(spec), x.num, x.den
     first = HALF if kind is SequenceKind.BOOLEAN_RIGHT else ZERO
     last = HALF if kind is SequenceKind.BOOLEAN_LEFT else ONE
-    pred = None if x == first else _reduced(*_neighbor_pair(kind, n, m, h, k, -1))
-    succ = None if x == last else _reduced(*_neighbor_pair(kind, n, m, h, k, +1))
+    pred = None if x == first else _reduced(*_neighbor_pair(pieces, h, k, -1))
+    succ = None if x == last else _reduced(*_neighbor_pair(pieces, h, k, +1))
     return NeighborResult(x, pred, succ)

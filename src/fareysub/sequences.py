@@ -16,6 +16,10 @@ generators below produce the same sequences through one closed-form
 recurrence and are the ones to use at scale; the oracle is the trust anchor
 they are tested against.  They run on plain int pairs, one gdiff step at a
 time, and build each Fraction once at the end, without a gcd.
+
+`_pieces` is the one table of how every family is a gdiff family, or two,
+carried over by a unimodular map; generation, neighbor queries, rank and
+the cardinality variants all read it.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import math
 from itertools import chain, islice
 from typing import Iterator
 
-from .fraction import HALF, DomainError, Fraction, _reduced
+from .fraction import IDENTITY_MAP, MIRROR_MAP, DomainError, Fraction, UnimodularMap, _reduced
 
 #: Default guard for the quadratic enumeration oracle.
 MAX_ENUM_ORDER = 10_000
@@ -97,6 +101,11 @@ def member(spec: SequenceSpec, x: Fraction) -> bool:
     return True
 
 
+def _require_member(spec: SequenceSpec, x: Fraction) -> None:
+    if not member(spec, x):
+        raise DomainError(f"{x} is not in the {spec.kind.value} family n={spec.n}, m={spec.m}")
+
+
 def enumerate_sequence(spec: SequenceSpec, *, max_order: int = MAX_ENUM_ORDER) -> list[Fraction]:
     """Brute-force oracle: every reduced h/k, filtered by member(), sorted."""
     if spec.n > max_order:
@@ -113,11 +122,10 @@ def enumerate_sequence(spec: SequenceSpec, *, max_order: int = MAX_ENUM_ORDER) -
     return out
 
 
-def halfsequences(n: int, m: int, *, max_order: int = MAX_ENUM_ORDER) -> tuple[list[Fraction], list[Fraction]]:
+def halfsequences(n: int, m: int) -> tuple[list[Fraction], list[Fraction]]:
     """Split the bool family at 1/2; both halves contain 1/2."""
-    seq = enumerate_sequence(SequenceSpec(SequenceKind.BOOLEAN, n, m), max_order=max_order)
-    i = seq.index(HALF)
-    return seq[: i + 1], seq[i:]
+    left = generate_sequence(SequenceSpec(SequenceKind.BOOLEAN_LEFT, n, m))
+    return left, generate_sequence(SequenceSpec(SequenceKind.BOOLEAN_RIGHT, n, m))
 
 
 def _g_walk(n: int, m: int, ah: int, ak: int, bh: int, bk: int) -> Iterator[tuple[int, int]]:
@@ -174,31 +182,70 @@ def _g_down(n: int, m: int) -> Iterator[tuple[int, int]]:
     return _g_walk(n, m, 1, 1, n - 1, n)
 
 
+# gdiff onto the bool halves: thm_gdual_to_left and thm_g_to_right.
+_GDUAL_TO_LEFT = UnimodularMap(-1, 1, -1, 2)  # h/k -> (k-h)/(2k-h)
+_G_TO_RIGHT = UnimodularMap(0, 1, -1, 2)  # h/k -> k/(2k-h)
+
+_Piece = tuple[int, int, UnimodularMap, bool]
+
+# Local names: on CPython 3.11 each SequenceKind.X lookup costs about as much
+# as a whole piece tuple, and _pieces runs on every neighbor query.
+_GDIFF, _FNUM = SequenceKind.GDIFF, SequenceKind.FNUM
+_LEFT, _RIGHT = SequenceKind.BOOLEAN_LEFT, SequenceKind.BOOLEAN_RIGHT
+
+
+def _pieces(spec: SequenceSpec) -> tuple[_Piece, ...]:
+    """The family as images of gdiff families, in ascending order.
+
+    A piece (n', m', M, reverses) is the image of gdiff(n', m'), m' >= 0,
+    under M; reverses says that M reverses the order.  fnum is gdiff(n, n-m)
+    through the mirror h/k -> (k-h)/k (lemma_g_to_f); the bool half up to
+    1/2 is gdiff(n-m, n-2m) through h/k -> (k-h)/(2k-h), and the half from
+    1/2 on is gdiff(m, 2m-n) through h/k -> k/(2k-h).  bool is both halves,
+    which share 1/2, the image of 0/1.
+    """
+    n, m, kind = spec.n, spec.m, spec.kind
+    if m is None:  # full
+        return ((n, 0, IDENTITY_MAP, False),)
+    # max(x, 0) written out: a builtin call costs as much as the tuple.
+    if kind is _GDIFF:
+        return ((n, m if m > 0 else 0, IDENTITY_MAP, False),)
+    if kind is _FNUM:
+        return ((n, n - m if n > m else 0, MIRROR_MAP, True),)
+    left = (n - m, n - 2 * m if n > 2 * m else 0, _GDUAL_TO_LEFT, True)
+    right = (m, 2 * m - n if 2 * m > n else 0, _G_TO_RIGHT, False)
+    if kind is _LEFT:
+        return (left,)
+    if kind is _RIGHT:
+        return (right,)
+    return left, right
+
+
+def _piece(pieces: tuple[_Piece, ...], h: int, k: int, sign: int) -> _Piece:
+    """The piece holding the neighbor of h/k before (sign -1) or after (+1) it."""
+    return pieces[-1] if 2 * h > k or (2 * h == k and sign > 0) else pieces[0]
+
+
+def _carried(M: UnimodularMap, pairs: Iterator[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """M applied to every pair; a call of its own, so each walk binds its own M."""
+    a, b, c, d = M.a, M.b, M.c, M.d
+    return ((a * h + b * k, c * h + d * k) for h, k in pairs)
+
+
 def _term_pairs(spec: SequenceSpec) -> Iterator[tuple[int, int]]:
     """The terms of spec, ascending, as int pairs (h, k); nothing is materialised.
 
-    Every family is a gdiff family carried over by a unimodular map.  fnum
-    (n, m) is gdiff(n, n-m) walked down through the mirror h/k -> (k-h)/k.
-    The bool half up to 1/2 is fnum(n-m, m) through h/k -> h/(k+h), that is
-    gdiff(n-m, n-2m) walked down through h/k -> (k-h)/(2k-h); the half from
-    1/2 on is gdiff(m, 2m-n) walked up through h/k -> k/(2k-h).  Both halves
-    hold 1/2, the image of 0/1, where the downward walk is checked to end.
+    Each piece of _pieces is walked up, or down if its map reverses the
+    order, and carried over by its map.  A later piece starts on the last
+    term of the one before, where the downward walk is checked to end.
     """
-    n, m, kind = spec.n, spec.m, spec.kind
-    if kind is SequenceKind.FULL:
-        return _g_up(n, 0)
-    assert m is not None
-    if kind is SequenceKind.GDIFF:
-        return _g_up(n, m)
-    if kind is SequenceKind.FNUM:
-        return ((k - h, k) for h, k in _g_down(n, n - m))
-    left = ((k - h, 2 * k - h) for h, k in _g_down(n - m, n - 2 * m))
-    right = ((k, 2 * k - h) for h, k in _g_up(m, 2 * m - n))
-    if kind is SequenceKind.BOOLEAN_LEFT:
-        return left
-    if kind is SequenceKind.BOOLEAN_RIGHT:
-        return right
-    return chain(left, islice(right, 1, None))
+    walks = []
+    for i, (n, m, M, reverses) in enumerate(_pieces(spec)):
+        walk = _g_down(n, m) if reverses else _g_up(n, m)
+        if M is not IDENTITY_MAP:
+            walk = _carried(M, walk)
+        walks.append(islice(walk, 1, None) if i else walk)
+    return chain(*walks)
 
 
 def iterate_g(n: int, m: int) -> Iterator[Fraction]:
@@ -222,12 +269,7 @@ def iterate_f(n: int, m: int) -> Iterator[Fraction]:
 
 
 def generate_boolean(n: int, m: int) -> list[Fraction]:
-    """The bool family, assembled from its two halves without enumeration.
-
-    The left half is the image of the fnum family of order n-m under
-    h/k -> h/(k+h); the right half is the image of the gdiff family of
-    order m and parameter 2m-n under h/k -> k/(2k-h).  The halves share 1/2.
-    """
+    """The bool family, assembled from its two halves (see _pieces) without enumeration."""
     return generate_sequence(SequenceSpec(SequenceKind.BOOLEAN, n, m))
 
 

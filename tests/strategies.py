@@ -1,8 +1,19 @@
-"""Hypothesis strategies shared by the property tests."""
+"""Hypothesis strategies and parameter ranges shared by the tests."""
 
 from hypothesis import assume, strategies as st
 
 from fareysub import SequenceKind as K, SequenceSpec, make_fraction, member
+
+
+def valid_ms(kind: K, n: int) -> list:
+    """Every parameter value with a distinct family at order n, plus slack ones."""
+    if kind is K.FULL:
+        return [None]
+    if kind is K.FNUM:
+        return list(range(1, n + 3))
+    if kind is K.GDIFF:
+        return list(range(-2, n))
+    return list(range(1, n))
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -7,8 +8,19 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fareysub import SequenceKind, SequenceSpec, generate_sequence, parse_fraction
+from fareysub import (
+    DomainError,
+    SequenceKind,
+    SequenceSpec,
+    boolean_cardinality_variants,
+    catalog,
+    f_cardinality_variants,
+    g_cardinality_variants,
+    generate_sequence,
+    parse_fraction,
+)
 from fareysub.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -284,3 +296,74 @@ def test_verify_selected_suites(capsys):
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0 and "fareysub" in out
+
+
+def _card_reference(spec):
+    """card --format json, formatted from the counting functions one kind at a time."""
+    n, m = spec.n, spec.m
+    method, variants = {
+        "full": lambda: ("moebius-sum", f_cardinality_variants(n, n)),
+        "fnum": lambda: ("moebius-sum", f_cardinality_variants(n, m)),
+        "gdiff": lambda: ("phi-sum", g_cardinality_variants(n, m)),
+        "bool": lambda: ("half-sum", boolean_cardinality_variants(n, m)),
+        "bool-left": lambda: ("moebius-sum", f_cardinality_variants(n - m, m)),
+        "bool-right": lambda: ("moebius-sum", f_cardinality_variants(m, n - m)),
+    }[spec.kind.value]()
+    metadata = {"kind": spec.kind.value, "n": n, "m": m, "method": method, "variants": variants}
+    return json.dumps({"cardinality": variants[method], "metadata": metadata}) + "\n"
+
+
+@pytest.mark.parametrize("kind", [kind.value for kind in SequenceKind])
+def test_card_json_for_every_kind(capsys, kind):
+    for n in range(1, 41):
+        for m in [None] if kind == "full" else range(-3, n + 4):
+            try:
+                spec = SequenceSpec(SequenceKind(kind), n, m)
+            except DomainError:
+                continue
+            m_args = [] if m is None else ["-m", str(m)]
+            code, out, err = run(capsys, "card", "--kind", kind, "-n", str(n), *m_args, "--format", "json")
+            assert (code, err) == (0, ""), spec
+            assert out == _card_reference(spec), spec
+
+
+_FRACTION_TEXT = st.one_of(
+    st.integers(1, 70).flatmap(lambda k: st.integers(0, k).map(lambda h: f"{h}/{k}")),
+    st.tuples(st.integers(0, 30), st.integers(1, 30), st.integers(2, 4)).map(
+        lambda t: f"{t[0] * t[2]}/{t[1] * t[2]}"
+    ),
+    st.integers(1, 30).flatmap(lambda k: st.integers(k + 1, 2 * k + 1).map(lambda h: f"{h}/{k}")),
+    st.integers(0, 9).map(lambda h: f"{h}/0"),
+    st.sampled_from(["", "1/", "/2", "1/2/3", "-1/2", "1.5", "½", "one/two", " 1/2", "9" * 5000 + "/1"]),
+)
+_MAP_NAMES = st.sampled_from([entry.id for entry in catalog()] + ["not_a_map", ""])
+
+
+@st.composite
+def _argv(draw):
+    """argv drawn from the subcommand grammar, valid and invalid parts mixed."""
+    command = draw(st.sampled_from(["gen", "neighbors", "card", "rank", "map", "verify", "nope"]))
+    if command == "verify":
+        flags = draw(st.lists(st.sampled_from(["--all-maps", "--identities", "--neighbors"]), unique=True))
+        return [command, *flags, "--max-n", str(draw(st.integers(-1, 3)))]
+    n = draw(st.integers(-1, 60))
+    argv = [command, "-n", str(n)]
+    if draw(st.booleans()):
+        argv += ["-m", str(draw(st.integers(-3, n + 3)))]
+    if command == "map":
+        argv += ["--name", draw(_MAP_NAMES)]
+    elif draw(st.integers(0, 9)):
+        argv += ["--kind", draw(st.sampled_from([kind.value for kind in SequenceKind] + ["nope"]))]
+    if command in ("neighbors", "rank", "map"):
+        argv.append(draw(_FRACTION_TEXT))
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["plain", "json", "csv", "xml"]))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv())
+def test_every_argv_gets_an_exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv

@@ -30,7 +30,7 @@ from fareysub import (
     sequence_neighbors,
 )
 from fareysub import counting
-from strategies import family_members
+from strategies import family_members, valid_ms
 
 K = SequenceKind
 
@@ -226,21 +226,10 @@ def test_full_cardinality_matches_oracle(oracle):
         assert full_cardinality(n) == len(oracle(K.FULL, n))
 
 
-def _valid_ms(kind: SequenceKind, n: int) -> list:
-    """Every parameter value with a distinct family at order n, plus slack ones."""
-    if kind is K.FULL:
-        return [None]
-    if kind is K.FNUM:
-        return list(range(1, n + 3))
-    if kind is K.GDIFF:
-        return list(range(-2, n))
-    return list(range(1, n))
-
-
 def test_rank_matches_oracle_for_every_kind(oracle):
     for kind in K:
         for n in range(1, 25):
-            for m in _valid_ms(kind, n):
+            for m in valid_ms(kind, n):
                 spec = SequenceSpec(kind, n, m)
                 for i, x in enumerate(oracle(kind, n, m)):
                     assert rank(spec, x) == i, (spec, x)

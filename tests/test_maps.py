@@ -181,3 +181,34 @@ def test_injections_can_be_proper(oracle):
     assert len(right) < len(left)
     report = verify_map("prop_right_to_left_pres", 7, 2)
     assert report.passed
+
+
+# len(valid_parameter_pairs(id, 20)) for every entry, recorded before the
+# candidate values of m stopped depending on the map id.
+_PAIR_COUNTS_AT_20 = {
+    "mirror_full": 20,
+    "mirror_boolean": 190,
+    "lemma_f_to_g": 210,
+    "lemma_g_to_f": 210,
+    "thm_left_to_f": 190,
+    "thm_f_to_left": 190,
+    "thm_right_to_g": 190,
+    "thm_g_to_right": 190,
+    "thm_left_to_gdual": 190,
+    "thm_gdual_to_left": 190,
+    "thm_right_to_f": 190,
+    "thm_f_to_right": 190,
+    "prop_left_involution": 100,
+    "prop_left_to_right_pres": 100,
+    "prop_left_to_right_rev": 100,
+    "prop_right_involution": 100,
+    "prop_right_to_left_pres": 100,
+    "prop_right_to_left_rev": 100,
+}
+
+
+def test_valid_parameter_pair_counts_are_pinned():
+    assert {entry.id: len(valid_parameter_pairs(entry.id, 20)) for entry in catalog()} == _PAIR_COUNTS_AT_20
+    assert valid_parameter_pairs("mirror_full", 3) == [(1, 0), (2, 0), (3, 0)]
+    assert valid_parameter_pairs("lemma_g_to_f", 2) == [(1, 0), (2, 0), (2, 1)]
+    assert valid_parameter_pairs("lemma_f_to_g", 2) == [(1, 1), (2, 1), (2, 2)]

@@ -3,6 +3,7 @@ from itertools import islice
 import pytest
 
 from fareysub import (
+    IDENTITY_MAP,
     DomainError,
     Fraction,
     SequenceKind,
@@ -10,6 +11,7 @@ from fareysub import (
     enumerate_sequence,
     generate_boolean,
     generate_sequence,
+    get_map,
     halfsequences,
     iterate_f,
     iterate_g,
@@ -17,7 +19,8 @@ from fareysub import (
     parse_fraction,
     sequence_neighbors,
 )
-from fareysub.sequences import _g_down, _g_up, _g_walk, _term_pairs
+from fareysub.sequences import _g_down, _g_up, _g_walk, _pieces, _term_pairs
+from strategies import valid_ms
 
 K = SequenceKind
 
@@ -272,3 +275,27 @@ def test_kernel_walk_stops_at_the_endpoints():
     assert list(_g_walk(6, 4, 5, 6, 1, 1)) == [(5, 6), (1, 1)]
     assert list(_g_walk(6, 4, 1, 2, 1, 3)) == [(1, 2), (1, 3), (0, 1)]
     assert list(_g_walk(6, 4, 1, 3, 0, 1)) == [(1, 3), (0, 1)]
+
+
+def test_pieces_carry_gdiff_families_onto_every_family(oracle):
+    for kind in K:
+        for n in range(1, 31):
+            for m in valid_ms(kind, n):
+                spec = SequenceSpec(kind, n, m)
+                joined = []
+                for piece_n, piece_m, matrix, reverses in _pieces(spec):
+                    assert piece_m >= 0
+                    image = [matrix.apply(x) for x in oracle(K.GDIFF, piece_n, piece_m)]
+                    if reverses:
+                        image.reverse()
+                    if joined:
+                        assert image[0] == joined[-1]
+                        image = image[1:]
+                    joined += image
+                assert joined == oracle(kind, n, m), spec
+
+
+def test_piece_matrices_are_the_catalog_matrices():
+    used = {id(piece[2]) for kind in K for piece in _pieces(SequenceSpec(kind, 7, None if kind is K.FULL else 3))}
+    catalog_ids = {id(get_map(i).matrix) for i in ("lemma_g_to_f", "thm_gdual_to_left", "thm_g_to_right")}
+    assert used == catalog_ids | {id(IDENTITY_MAP)}
