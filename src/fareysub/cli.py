@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from itertools import islice
 from typing import Sequence
 
@@ -256,10 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: building it costs about as much as a whole
+# in-process `card` call, and parse_args leaves it unchanged.
+_parser = lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except UsageError as err:
         print(f"fareysub: error: {err}", file=sys.stderr)
         return EXIT_USAGE

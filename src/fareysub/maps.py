@@ -16,7 +16,7 @@ from typing import Callable
 
 from .fraction import MIRROR_MAP, DomainError, Fraction, UnimodularMap
 from .sequences import SequenceKind, SequenceSpec, enumerate_sequence, member
-from .sequences import _G_TO_RIGHT, _GDUAL_TO_LEFT
+from .sequences import _FNUM, _FULL, _GDIFF, _G_TO_RIGHT, _GDUAL_TO_LEFT
 
 
 class Direction(str, Enum):
@@ -57,15 +57,15 @@ class NamedMap:
 
 
 def _full(n: int, m: int) -> SequenceSpec:
-    return SequenceSpec(SequenceKind.FULL, n)
+    return SequenceSpec(_FULL, n)
 
 
 def _fnum(n_of: Callable[[int, int], int], m_of: Callable[[int, int], int]) -> SpecFactory:
-    return lambda n, m: SequenceSpec(SequenceKind.FNUM, n_of(n, m), m_of(n, m))
+    return lambda n, m: SequenceSpec(_FNUM, n_of(n, m), m_of(n, m))
 
 
 def _gdiff(n_of: Callable[[int, int], int], m_of: Callable[[int, int], int]) -> SpecFactory:
-    return lambda n, m: SequenceSpec(SequenceKind.GDIFF, n_of(n, m), m_of(n, m))
+    return lambda n, m: SequenceSpec(_GDIFF, n_of(n, m), m_of(n, m))
 
 
 def _bool(kind: SequenceKind, complement: bool = False) -> SpecFactory:
@@ -354,9 +354,9 @@ def verify_map(
 
     counterexample = None
     monotone = True
+    preserving = entry.direction is Direction.PRESERVING
     for a, b in zip(images, images[1:]):
-        ascending = a < b
-        if ascending != (entry.direction is Direction.PRESERVING):
+        if (a < b) != preserving:
             monotone = False
             counterexample = f"order breaks at images {a}, {b}"
             break
@@ -364,7 +364,7 @@ def verify_map(
     image_ok = True
     if entry.map_class is MapClass.BIJECTIVE:
         codomain = fetch(codomain_spec)
-        expected = images if entry.direction is Direction.PRESERVING else images[::-1]
+        expected = images if preserving else images[::-1]
         if expected != codomain:
             image_ok = False
             if counterexample is None:

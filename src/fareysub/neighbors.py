@@ -28,9 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .fraction import HALF, IDENTITY_MAP, ONE, ZERO, DomainError, Fraction, _reduced, make_fraction
+from .fraction import HALF, IDENTITY_MAP, DomainError, Fraction, _reduced, make_fraction
 from .sequences import SequenceKind, SequenceSpec, _g_walk, _require_member, member
-from .sequences import _Piece, _piece, _pieces
+from .sequences import _BOOL, _FNUM, _GDIFF, _LEFT, _RIGHT, _Piece, _piece, _pieces
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,12 +113,12 @@ def _interior_neighbor(kind: SequenceKind, n: int, m: int, x: Fraction, sign: in
 
 def g_predecessor(n: int, m: int, x: Fraction) -> Fraction:
     """Fraction immediately before x in the gdiff family; x must be interior."""
-    return _interior_neighbor(SequenceKind.GDIFF, n, m, x, -1)
+    return _interior_neighbor(_GDIFF, n, m, x, -1)
 
 
 def g_successor(n: int, m: int, x: Fraction) -> Fraction:
     """Fraction immediately after x in the gdiff family; x must be interior."""
-    return _interior_neighbor(SequenceKind.GDIFF, n, m, x, +1)
+    return _interior_neighbor(_GDIFF, n, m, x, +1)
 
 
 def g_unit_fraction_neighbors(n: int, m: int, k: int) -> tuple[Fraction, Fraction]:
@@ -126,7 +126,7 @@ def g_unit_fraction_neighbors(n: int, m: int, k: int) -> tuple[Fraction, Fractio
     if n <= 1 or k <= 1:
         raise DomainError(f"unit-fraction neighbors require n > 1 and k > 1, got n={n}, k={k}")
     x = Fraction(1, k)
-    _require_member(SequenceSpec(SequenceKind.GDIFF, n, m), x)
+    _require_member(SequenceSpec(_GDIFF, n, m), x)
     m = max(m, 0)
     q = _floor_min(n - m - 1, k - 1, n - 1, k)
     r = _floor_min(n - m + 1, k - 1, n + 1, k)
@@ -135,7 +135,7 @@ def g_unit_fraction_neighbors(n: int, m: int, k: int) -> tuple[Fraction, Fractio
 
 def _require_g_consecutive(n: int, m: int, a: Fraction, b: Fraction) -> None:
     """The adjacency certificate for a < b in gdiff(n, m); see the module docstring."""
-    spec = SequenceSpec(SequenceKind.GDIFF, n, m)
+    spec = SequenceSpec(_GDIFF, n, m)
     if not (
         a.den * b.num - a.num * b.den == 1
         and member(spec, a)
@@ -163,12 +163,12 @@ def g_prev_from_pair(n: int, m: int, cur: Fraction, nxt: Fraction) -> Fraction:
 
 def f_predecessor(n: int, m: int, x: Fraction) -> Fraction:
     """Fraction immediately before x in the fnum family, via reflection."""
-    return _interior_neighbor(SequenceKind.FNUM, n, m, x, -1)
+    return _interior_neighbor(_FNUM, n, m, x, -1)
 
 
 def f_successor(n: int, m: int, x: Fraction) -> Fraction:
     """Fraction immediately after x in the fnum family, via reflection."""
-    return _interior_neighbor(SequenceKind.FNUM, n, m, x, +1)
+    return _interior_neighbor(_FNUM, n, m, x, +1)
 
 
 _THIRD = Fraction(1, 3)
@@ -183,7 +183,7 @@ def boolean_special_neighbors(n: int, m: int, anchor: Fraction) -> tuple[Fractio
     """
     if n == 2 * m:
         raise DomainError("special-anchor formulas require n != 2m")
-    _require_member(SequenceSpec(SequenceKind.BOOLEAN, n, m), anchor)
+    _require_member(SequenceSpec(_BOOL, n, m), anchor)
     if 2 * m > n:
         r = n - m
         if anchor == HALF:
@@ -227,12 +227,12 @@ def boolean_special_neighbors(n: int, m: int, anchor: Fraction) -> tuple[Fractio
 
 def boolean_predecessor(n: int, m: int, x: Fraction) -> Fraction:
     """Fraction immediately before x in the bool family, via half bijections."""
-    return _interior_neighbor(SequenceKind.BOOLEAN, n, m, x, -1)
+    return _interior_neighbor(_BOOL, n, m, x, -1)
 
 
 def boolean_successor(n: int, m: int, x: Fraction) -> Fraction:
     """Fraction immediately after x in the bool family, via half bijections."""
-    return _interior_neighbor(SequenceKind.BOOLEAN, n, m, x, +1)
+    return _interior_neighbor(_BOOL, n, m, x, +1)
 
 
 def sequence_neighbors(spec: SequenceSpec, x: Fraction) -> NeighborResult:
@@ -243,8 +243,9 @@ def sequence_neighbors(spec: SequenceSpec, x: Fraction) -> NeighborResult:
     """
     _require_member(spec, x)
     kind, pieces, h, k = spec.kind, _pieces(spec), x.num, x.den
-    first = HALF if kind is SequenceKind.BOOLEAN_RIGHT else ZERO
-    last = HALF if kind is SequenceKind.BOOLEAN_LEFT else ONE
-    pred = None if x == first else _reduced(*_neighbor_pair(pieces, h, k, -1))
-    succ = None if x == last else _reduced(*_neighbor_pair(pieces, h, k, +1))
+    # x is reduced, so 2h = k means 1/2, h = 0 means 0/1 and h = k means 1/1.
+    first = 2 * h == k if kind is _RIGHT else h == 0
+    last = 2 * h == k if kind is _LEFT else h == k
+    pred = None if first else _reduced(*_neighbor_pair(pieces, h, k, -1))
+    succ = None if last else _reduced(*_neighbor_pair(pieces, h, k, +1))
     return NeighborResult(x, pred, succ)

@@ -21,6 +21,7 @@ from fareysub import (
     generate_sequence,
     parse_fraction,
 )
+from fareysub import cli
 from fareysub.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -296,6 +297,16 @@ def test_verify_selected_suites(capsys):
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0 and "fareysub" in out
+
+
+def test_main_builds_one_parser_for_every_call(capsys):
+    cli._parser.cache_clear()
+    first = [run(capsys, "card", "--kind", "bool", "-n", "9", "-m", "4") for _ in range(2)]
+    second = [run(capsys, "card", "--kind", "bool", "-n", "9") for _ in range(2)]
+    assert first == [(0, "17\n", "")] * 2
+    assert second[0] == second[1] and second[0][0] == 1
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
 
 
 def _card_reference(spec):
