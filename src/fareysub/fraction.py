@@ -24,13 +24,19 @@ class Fraction:
     num: int
     den: int
 
-    def __post_init__(self) -> None:
-        if self.den <= 0:
-            raise DomainError(f"denominator must be positive, got {self.den}")
-        if not 0 <= self.num <= self.den:
-            raise DomainError(f"{self.num}/{self.den} is outside [0/1, 1/1]")
-        if math.gcd(self.num, self.den) != 1:
-            raise DomainError(f"{self.num}/{self.den} is not reduced")
+    # Written by hand: the __init__ dataclass generates for a frozen class
+    # sets each field through object.__setattr__ and then calls a separate
+    # __post_init__; writing the slots through their descriptors (bound
+    # below the class) costs less.
+    def __init__(self, num: int, den: int) -> None:
+        if den <= 0:
+            raise DomainError(f"denominator must be positive, got {den}")
+        if not 0 <= num <= den:
+            raise DomainError(f"{num}/{den} is outside [0/1, 1/1]")
+        if math.gcd(num, den) != 1:
+            raise DomainError(f"{num}/{den} is not reduced")
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
@@ -55,7 +61,7 @@ _set_den = Fraction.__dict__["den"].__set__
 
 
 def _reduced(h: int, k: int) -> Fraction:
-    """Fraction h/k built without __post_init__'s checks or its gcd.
+    """Fraction h/k built without __init__'s checks or its gcd.
 
     Only for callers that have proved 0 <= h <= k, k > 0 and gcd(h, k) = 1;
     the generation kernel in sequences.py, the neighbor steps in

@@ -293,18 +293,18 @@ def get_map(map_id: str) -> NamedMap:
 
 
 def apply_named(map_id: str, n: int, m: int, x: Fraction) -> Fraction:
-    """Apply a registered map at parameters (n, m) to a domain element x."""
+    """Apply a registered map at parameters (n, m) to a domain element x.
+
+    x is checked against the domain.  The image is not checked against the
+    codomain: that the map carries its domain into its codomain is the
+    catalog's claim, which `verify_map` checks element by element and the
+    `verify` map suite at every admissible (n, m).
+    """
     entry = get_map(map_id)
     entry.check_constraint(n, m)
     if not member(entry.domain(n, m), x):
         raise DomainError(f"{x} is not in the domain of {map_id} at n={n}, m={m}")
-    image = entry.matrix.apply(x)
-    if not member(entry.codomain(n, m), image):
-        raise RuntimeError(
-            f"image {image} of {x} under {map_id} left the advertised codomain; "
-            "this is a bug in the registry"
-        )
-    return image
+    return entry.matrix.apply(x)
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,20 @@ the piece's map reverses the order), carries the result forward and builds
 one Fraction at the end, without a gcd.  The step's result p/q satisfies
 k*p - h*q = +-1, which proves it reduced, and the maps keep it so.
 
+Two consecutive terms fix the next one, so sequence_neighbors solves the
+congruence once when both neighbors of x lie in one piece, which is
+everywhere except at the ends and at 1/2 in bool.  It solves for the gdiff
+neighbor before x in that piece and takes the one after from one step of
+the generation walk, _g_walk, which certifies the step as in generation:
+the new term is a member and its mediant with x is not.
+
 g_next_from_pair and g_prev_from_pair guard their input with the O(1)
-adjacency certificate: a < b are consecutive iff both are members,
-det(a, b) = 1 and their mediant is not a member.  Every fraction strictly
-between such a and b is i*a + j*b (on numerators and denominators) with
-i, j >= 1, and every membership bound is monotone in them, so the mediant
-is the first candidate.
+adjacency certificate, computed on the ints: a < b are consecutive iff both
+are members, det(a, b) = 1 and their mediant is not a member.  Every
+fraction strictly between such a and b is i*a + j*b (on numerators and
+denominators) with i, j >= 1, and every membership bound is monotone in
+them, so the mediant is the first candidate.  The third term is one step of
+_g_walk, driven by next; the recurrence is written only there.
 
 All functions are pure; DomainError marks queries outside a sequence.
 """
@@ -26,10 +34,10 @@ All functions are pure; DomainError marks queries outside a sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
-from .fraction import HALF, IDENTITY_MAP, DomainError, Fraction, _reduced, make_fraction
-from .sequences import SequenceKind, SequenceSpec, _g_walk, _require_member, member
+from .fraction import HALF, IDENTITY_MAP, DomainError, Fraction, UnimodularMap
+from .fraction import _reduced, make_fraction
+from .sequences import SequenceKind, SequenceSpec, _g_walk, _require_member
 from .sequences import _BOOL, _FNUM, _GDIFF, _LEFT, _RIGHT, _Piece, _piece, _pieces
 
 
@@ -40,6 +48,19 @@ class NeighborResult:
     target: Fraction
     predecessor: Fraction | None
     successor: Fraction | None
+
+    # Written by hand like Fraction.__init__; there is nothing to check.
+    def __init__(
+        self, target: Fraction, predecessor: Fraction | None, successor: Fraction | None
+    ) -> None:
+        _set_target(self, target)
+        _set_predecessor(self, predecessor)
+        _set_successor(self, successor)
+
+
+_set_target = NeighborResult.__dict__["target"].__set__
+_set_predecessor = NeighborResult.__dict__["predecessor"].__set__
+_set_successor = NeighborResult.__dict__["successor"].__set__
 
 
 def _require_interior(x: Fraction) -> None:
@@ -87,21 +108,57 @@ def _g_neighbor(n: int, m: int, h: int, k: int, sign: int) -> tuple[int, int]:
     return _g_pair(n, m, h, k, sign)
 
 
+def _g_beyond(n: int, m: int, ah: int, ak: int, bh: int, bk: int) -> tuple[int, int] | None:
+    """The term of gdiff(n, m) beyond b, from the consecutive a, b; None if b is an end.
+
+    One step of _g_walk, which certifies it: det(a, b) = +-1 on entry, and
+    the new term is a member while its mediant with b is not.
+    """
+    walk = _g_walk(n, m, ah, ak, bh, bk)
+    next(walk)
+    next(walk)
+    return next(walk, None)
+
+
+def _carried_back(M: UnimodularMap, h: int, k: int) -> tuple[int, int]:
+    """h/k carried back by M^-1, which is det(M) times the adjugate of M."""
+    a, b, c, d = M.a, M.b, M.c, M.d
+    det = a * d - b * c
+    return det * (d * h - b * k), det * (a * k - c * h)
+
+
 def _neighbor_pair(pieces: tuple[_Piece, ...], h: int, k: int, sign: int) -> tuple[int, int]:
     """The neighbor before (sign -1) or after (+1) the member h/k, as an int pair.
 
     h/k must have a neighbor on that side.  The step is taken in the piece
-    that holds the neighbor, on h/k carried back by M^-1, which is det(M)
-    times the adjugate of M.
+    that holds the neighbor, on h/k carried back to it.
     """
     n, m, M, reverses = _piece(pieces, h, k, sign)
     if M is IDENTITY_MAP:
         return _g_neighbor(n, m, h, k, sign)
-    a, b, c, d = M.a, M.b, M.c, M.d
-    det = a * d - b * c
-    u, v = det * (d * h - b * k), det * (a * k - c * h)
+    u, v = _carried_back(M, h, k)
     p, q = _g_neighbor(n, m, u, v, -sign if reverses else sign)
-    return a * p + b * q, c * p + d * q
+    return M.a * p + M.b * q, M.c * p + M.d * q
+
+
+def _neighbor_pairs(piece: _Piece, h: int, k: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Both neighbors (before, after) of the interior member h/k, both in piece.
+
+    One congruence solve gives the gdiff neighbor p/q before h/k carried
+    back to the piece, and one step of the walk from p/q through it gives
+    the neighbor after.  Both are carried forward; a reversing map swaps
+    them.
+    """
+    n, m, M, reverses = piece
+    if M is IDENTITY_MAP:
+        p, q = _g_pair(n, m, h, k, -1)
+        return (p, q), _g_beyond(n, m, p, q, h, k)
+    u, v = _carried_back(M, h, k)
+    p, q = _g_pair(n, m, u, v, -1)
+    r, s = _g_beyond(n, m, p, q, u, v)
+    a, b, c, d = M.a, M.b, M.c, M.d
+    before, after = (a * p + b * q, c * p + d * q), (a * r + b * s, c * r + d * s)
+    return (after, before) if reverses else (before, after)
 
 
 def _interior_neighbor(kind: SequenceKind, n: int, m: int, x: Fraction, sign: int) -> Fraction:
@@ -134,13 +191,19 @@ def g_unit_fraction_neighbors(n: int, m: int, k: int) -> tuple[Fraction, Fractio
 
 
 def _require_g_consecutive(n: int, m: int, a: Fraction, b: Fraction) -> None:
-    """The adjacency certificate for a < b in gdiff(n, m); see the module docstring."""
-    spec = SequenceSpec(_GDIFF, n, m)
+    """The adjacency certificate for a < b in gdiff(n, m); see the module docstring.
+
+    Membership in gdiff(n, m) is k <= n and k - h <= n - m, as in member.
+    """
+    SequenceSpec(_GDIFF, n, m)  # raises DomainError on an invalid n or m
+    ah, ak, bh, bk, d = a.num, a.den, b.num, b.den, n - m
     if not (
-        a.den * b.num - a.num * b.den == 1
-        and member(spec, a)
-        and member(spec, b)
-        and not member(spec, _reduced(a.num + b.num, a.den + b.den))
+        ak * bh - ah * bk == 1
+        and ak <= n
+        and ak - ah <= d
+        and bk <= n
+        and bk - bh <= d
+        and (ak + bk > n or ak + bk - ah - bh > d)
     ):
         raise DomainError(f"{a} and {b} are not consecutive in the gdiff family n={n}, m={m}")
 
@@ -148,17 +211,19 @@ def _require_g_consecutive(n: int, m: int, a: Fraction, b: Fraction) -> None:
 def g_next_from_pair(n: int, m: int, prev: Fraction, cur: Fraction) -> Fraction:
     """Third member of a consecutive gdiff triple, given the first two."""
     _require_g_consecutive(n, m, prev, cur)
-    for h, k in islice(_g_walk(n, m, prev.num, prev.den, cur.num, cur.den), 2, None):
-        return _reduced(h, k)
-    raise DomainError(f"{cur} is the last element; no next term after ({prev}, {cur})")
+    term = _g_beyond(n, m, prev.num, prev.den, cur.num, cur.den)
+    if term is None:
+        raise DomainError(f"{cur} is the last element; no next term after ({prev}, {cur})")
+    return _reduced(*term)
 
 
 def g_prev_from_pair(n: int, m: int, cur: Fraction, nxt: Fraction) -> Fraction:
     """First member of a consecutive gdiff triple, given the last two."""
     _require_g_consecutive(n, m, cur, nxt)
-    for h, k in islice(_g_walk(n, m, nxt.num, nxt.den, cur.num, cur.den), 2, None):
-        return _reduced(h, k)
-    raise DomainError(f"{cur} is the first element; no term before ({cur}, {nxt})")
+    term = _g_beyond(n, m, nxt.num, nxt.den, cur.num, cur.den)
+    if term is None:
+        raise DomainError(f"{cur} is the first element; no term before ({cur}, {nxt})")
+    return _reduced(*term)
 
 
 def f_predecessor(n: int, m: int, x: Fraction) -> Fraction:
@@ -246,6 +311,10 @@ def sequence_neighbors(spec: SequenceSpec, x: Fraction) -> NeighborResult:
     # x is reduced, so 2h = k means 1/2, h = 0 means 0/1 and h = k means 1/1.
     first = 2 * h == k if kind is _RIGHT else h == 0
     last = 2 * h == k if kind is _LEFT else h == k
-    pred = None if first else _reduced(*_neighbor_pair(pieces, h, k, -1))
-    succ = None if last else _reduced(*_neighbor_pair(pieces, h, k, +1))
-    return NeighborResult(x, pred, succ)
+    # Two pieces meet only at 1/2 in bool; everywhere else one piece holds both.
+    if first or last or len(pieces) > 1 and 2 * h == k:
+        pred = None if first else _reduced(*_neighbor_pair(pieces, h, k, -1))
+        succ = None if last else _reduced(*_neighbor_pair(pieces, h, k, +1))
+        return NeighborResult(x, pred, succ)
+    before, after = _neighbor_pairs(_piece(pieces, h, k, -1), h, k)
+    return NeighborResult(x, _reduced(*before), _reduced(*after))

@@ -66,26 +66,30 @@ class SequenceSpec:
     n: int
     m: int | None = None
 
-    def __post_init__(self) -> None:
-        kind, n, m = self.kind, self.n, self.m
+    # Written by hand like Fraction.__init__, which says why.
+    def __init__(self, kind: SequenceKind, n: int, m: int | None = None) -> None:
         if n < 1:
             raise DomainError(f"order must be positive, got n={n}")
         if kind is _FULL:
-            object.__setattr__(self, "m", None)
-            return
-        if m is None:
+            m = None
+        elif m is None:
             raise DomainError(f"kind {kind.value!r} requires parameter m")
-        if kind is _FNUM:
+        elif kind is _FNUM:
             if m < 1:
                 raise DomainError(f"fnum requires m >= 1, got m={m}")
         elif kind is _GDIFF:
             if m > n - 1:
                 raise DomainError(f"gdiff requires m <= n-1, got n={n}, m={m}")
-        else:
-            if n <= 1 or not 0 < m < n:
-                raise DomainError(
-                    f"{kind.value} requires n > 1 and 0 < m < n, got n={n}, m={m}"
-                )
+        elif n <= 1 or not 0 < m < n:
+            raise DomainError(f"{kind.value} requires n > 1 and 0 < m < n, got n={n}, m={m}")
+        _set_kind(self, kind)
+        _set_n(self, n)
+        _set_m(self, m)
+
+
+_set_kind = SequenceSpec.__dict__["kind"].__set__
+_set_n = SequenceSpec.__dict__["n"].__set__
+_set_m = SequenceSpec.__dict__["m"].__set__
 
 
 def member(spec: SequenceSpec, x: Fraction) -> bool:

@@ -17,13 +17,14 @@ def valid_ms(kind: K, n: int) -> list:
 
 
 @st.composite
-def family_members(draw, max_n: int):
+def family_members(draw, max_n: int, kinds=tuple(K)):
     """A family of order 2 <= n <= max_n and a member of it, drawn as h/k and reduced.
 
-    Each membership condition caps one of h, k, k - h, 2h - k or k - 2h by
-    a bound >= 0, and dividing out gcd(h, k) keeps such a value under it.
+    The kind is drawn from kinds.  Each membership condition caps one of h,
+    k, k - h, 2h - k or k - 2h by a bound >= 0, and dividing out gcd(h, k)
+    keeps such a value under it.
     """
-    kind = draw(st.sampled_from(list(K)))
+    kind = draw(st.sampled_from(list(kinds)))
     n = draw(st.integers(2, max_n))
     m = None
     if kind is K.FNUM:

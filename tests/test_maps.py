@@ -1,11 +1,15 @@
+import dataclasses
+
 import pytest
 
 from fareysub import (
+    IDENTITY_MAP,
     Direction,
     DomainError,
     MapClass,
     MIRROR_MAP,
     SequenceKind,
+    UnimodularMap,
     apply_named,
     catalog,
     composite_left_identity,
@@ -14,6 +18,7 @@ from fareysub import (
     parse_fraction,
     verify_map,
 )
+from fareysub import maps, verify
 from fareysub.maps import valid_parameter_pairs
 
 K = SequenceKind
@@ -121,6 +126,32 @@ def test_apply_named_rejections():
         apply_named("thm_right_to_g", 6, 4, frac("1/3"))  # 1/3 is in the left half
     with pytest.raises(DomainError):
         apply_named("lemma_f_to_g", 6, 0, frac("1/2"))  # fnum needs m >= 1
+
+
+@pytest.mark.parametrize(
+    "map_id, wrong, x",
+    [
+        # h/(2h+k): a bijection onto less than its codomain
+        ("thm_f_to_left", UnimodularMap(1, 0, 2, 1), "1/2"),
+        # an injection that stays in the left half
+        ("prop_left_to_right_pres", IDENTITY_MAP, "1/3"),
+    ],
+)
+def test_a_wrong_registry_matrix_is_reported_by_verify(monkeypatch, map_id, wrong, x):
+    # apply_named checks only the domain; the codomain claim is verify's to check.
+    entry = get_map(map_id)
+    broken = dataclasses.replace(entry, matrix=wrong)
+    monkeypatch.setattr(maps, "_CATALOG", tuple(broken if e is entry else e for e in catalog()))
+    monkeypatch.setitem(maps._BY_ID, map_id, broken)
+    x = frac(x)
+    assert apply_named(map_id, 6, 4, x) == wrong.apply(x) != entry.matrix.apply(x)
+
+    report = verify_map(map_id, 6, 4)
+    assert not report.passed and not report.image_ok and report.counterexample
+    rows = {row.name: row for row in verify.map_suite(8)}
+    row = rows[f"maps/{map_id}"]
+    assert row.failures > 0 and row.first_failure
+    assert rows["maps/mirror_full"].ok
 
 
 def test_verify_map_worked_examples(oracle):

@@ -304,3 +304,48 @@ def test_sequence_neighbors_at_the_ends_up_to_n_1e9(kind, n):
         for x in (ZERO, HALF, ONE):
             if member(spec, x):
                 _check_neighbors(spec, x)
+
+
+_ONE_SIDED = {
+    K.GDIFF: (g_predecessor, g_successor),
+    K.FNUM: (f_predecessor, f_successor),
+    K.BOOLEAN: (boolean_predecessor, boolean_successor),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_members(10**9, kinds=list(_ONE_SIDED)))
+def test_two_sided_query_equals_the_one_sided_ones_up_to_n_1e9(case):
+    # sequence_neighbors solves one side and steps to the other; the
+    # one-sided functions solve each side on its own.
+    spec, x = case
+    res = sequence_neighbors(spec, x)
+    before, after = _ONE_SIDED[spec.kind]
+    if x.den == 1:
+        assert (res.predecessor is None) == (x == ZERO) and (res.successor is None) == (x == ONE)
+        return
+    assert res.predecessor == before(spec.n, spec.m, x)
+    assert res.successor == after(spec.n, spec.m, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(family_members(10**9, kinds=[K.GDIFF]))
+def test_pair_steps_match_chained_neighbor_queries_up_to_n_1e9(case):
+    spec, x = case
+    n, m = spec.n, spec.m
+    start = sequence_neighbors(spec, x)
+    walks = ((g_next_from_pair, "successor", ONE), (g_prev_from_pair, "predecessor", ZERO))
+    for step, side, end in walks:
+        a, b = x, getattr(start, side)
+        for _ in range(5):
+            if b is None:
+                break
+            pair = (a, b) if step is g_next_from_pair else (b, a)
+            if b == end:
+                assert getattr(sequence_neighbors(spec, b), side) is None
+                with pytest.raises(DomainError, match="element"):
+                    step(n, m, *pair)
+                break
+            c = step(n, m, *pair)
+            assert c == getattr(sequence_neighbors(spec, b), side)
+            a, b = b, c
