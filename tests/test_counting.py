@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, settings, strategies as st
 
 from fareysub import (
     HALF,
@@ -277,26 +277,42 @@ def test_rank_of_successor_is_one_more(case):
 
 
 def test_phi_sums_factor_each_order_once(monkeypatch):
-    tables = []
-    real_table = counting._squarefree_divisors_upto
-
-    def table(n):
-        tables.append(n)
-        return real_table(n)
-
     def trial_division(h):
         raise AssertionError(f"trial division of {h} inside a phi-sum")
 
-    monkeypatch.setattr(counting, "_squarefree_divisors_upto", table)
     monkeypatch.setattr(counting, "_squarefree_divisors", trial_division)
+    table = counting._divisor_table
+    assert table.cache_info().maxsize is not None and table.cache_info().maxsize <= 8
+    table.cache_clear()
     assert g_cardinality_variants(300, 120)["phi-sum"] == g_cardinality(300, 120)
-    assert tables == [300, 300]
-    tables.clear()
-    assert set(g_rank_variants(300, 120, Fraction(7, 19)).values()) == {g_rank(300, 120, Fraction(7, 19))}
-    assert tables == [300, 300]
+    x = Fraction(7, 19)
+    assert set(g_rank_variants(300, 120, x).values()) == {g_rank(300, 120, x)}
+    assert table.cache_info().misses == 1
 
 
 def test_divisor_table_matches_trial_division():
-    for j, divisors in enumerate(counting._squarefree_divisors_upto(3000), 1):
-        assert sorted(divisors) == sorted(counting._squarefree_divisors(j))
-        assert all(moebius(d) == s for d, s in divisors)
+    starts, divisors = counting._divisor_table(3000)
+    assert len(starts) == 3001
+    for j in range(1, 3001):
+        a, b = starts[j - 1], starts[j]
+        plus, minus = divisors[a : (a + b + 1) // 2], divisors[(a + b + 1) // 2 : b]
+        signed = [(d, 1) for d in plus] + [(d, -1) for d in minus]
+        assert sorted(signed) == sorted(counting._squarefree_divisors(j))
+        assert all(moebius(d) == s for d, s in signed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(family_members(3000, kinds=[K.GDIFF]))
+def test_rank_variants_agree_beyond_the_oracle(case):
+    spec, x = case
+    assume(x.num > 0)
+    variants = g_rank_variants(spec.n, spec.m, x)
+    assert set(variants.values()) == {g_rank(spec.n, spec.m, x), rank(spec, x)}, (spec, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cardinality_variants_agree_beyond_the_oracle(data):
+    n = data.draw(st.integers(1, 5000))
+    m = data.draw(st.sampled_from(valid_ms(K.GDIFF, n)))
+    assert len(set(g_cardinality_variants(n, m).values())) == 1, (n, m)
