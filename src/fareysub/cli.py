@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 from itertools import islice
@@ -161,6 +162,13 @@ def cmd_map(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on macOS and Windows
+        return os.cpu_count() or 1
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     selected = []
     if args.all_maps:
@@ -172,13 +180,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not selected:
         selected = ["maps", "identities", "neighbors"]
 
-    rows = []
-    if "maps" in selected:
-        rows += verify.map_suite(args.max_n)
-    if "identities" in selected:
-        rows += verify.identity_suite(max_n=args.max_n, enum_cross_max=min(args.max_n, 30))
-    if "neighbors" in selected:
-        rows += verify.neighbor_suite(args.max_n)
+    # Imported here so that no other subcommand pays for the pool's modules.
+    from concurrent.futures import ProcessPoolExecutor
+
+    # One suite per worker. Each worker fills its own caches, and neither the
+    # pool nor a worker outlives this call.
+    with ProcessPoolExecutor(max_workers=min(len(selected), _usable_cpus())) as pool:
+        futures = {
+            name: pool.submit(verify.run_cli_suite, name, args.max_n)
+            for name in verify.CLI_SUITES
+            if name in selected
+        }
+        rows = [row for name in selected for row in futures[name].result()]
 
     width = max(len(row.name) for row in rows)
     print(f"{'suite':<{width}}  {'checks':>8}  {'failures':>8}  status")

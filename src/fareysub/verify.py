@@ -9,7 +9,10 @@ the Farey sequence F_n, and every spec of order n is that list filtered by
 `member`, which keeps it sorted.  A per-spec memo over the filtered lists
 sits on top, since the suites fetch the same sequences many times (a
 `verify --max-n 20` sweep fetches 1,244 specs 7,174 times).  Both caches
-are bounded.
+are bounded, and they belong to the process: `fareysub verify` runs each of
+its suites in a worker process of its own (`run_cli_suite`), so there the
+scan runs once per order per worker.  The suites share nothing but these
+caches, and the printed table is the same as a serial run's.
 
 A row's failure text is formatted only when a check fails; passing checks
 cost no string work.
@@ -244,6 +247,22 @@ def map_suite(max_n: int = 20) -> list[SuiteRow]:
                 )
     rows += [left_row, right_row]
     return rows
+
+
+# The suites of `fareysub verify`, costliest first: a pool given them in this
+# order starts the longest one at once.
+CLI_SUITES = ("identities", "neighbors", "maps")
+
+
+def run_cli_suite(name: str, max_n: int) -> list[SuiteRow]:
+    """One suite of `fareysub verify`, by name; what each of its worker processes runs."""
+    if name == "identities":
+        return identity_suite(max_n=max_n, enum_cross_max=min(max_n, 30))
+    if name == "neighbors":
+        return neighbor_suite(max_n)
+    if name == "maps":
+        return map_suite(max_n)
+    raise ValueError(f"unknown verify suite {name!r}")
 
 
 def structure_suite(max_n: int = 20) -> list[SuiteRow]:

@@ -16,9 +16,15 @@ def test_oracle_cache_is_bounded():
     assert verify._cached.cache_info().currsize == maxsize
 
 
-def test_verify_sweep_to_20_never_evicts(capsys):
+def _run_cli_suites_in_one_process(max_n):
+    """Every `verify` suite in this process, in the order a one-worker pool runs them."""
+    rows = [row for name in verify.CLI_SUITES for row in verify.run_cli_suite(name, max_n)]
+    return all(row.ok for row in rows)
+
+
+def test_verify_sweep_to_20_never_evicts():
     verify._cached.cache_clear()
-    assert main(["verify", "--max-n", "20"]) == 0
+    assert _run_cli_suites_in_one_process(20)
     info = verify._cached.cache_info()
     assert info.currsize == info.misses < info.maxsize
 
@@ -98,7 +104,7 @@ def test_cached_oracle_equals_the_scan_for_every_kind():
                 assert verify.cached_sequence(spec) == enumerate_sequence(spec), spec
 
 
-def test_verify_sweep_scans_each_order_once(monkeypatch, capsys):
+def test_verify_sweep_scans_each_order_once(monkeypatch):
     scanned = Counter()
     scan = verify.enumerate_sequence
 
@@ -110,7 +116,7 @@ def test_verify_sweep_scans_each_order_once(monkeypatch, capsys):
     verify._cached.cache_clear()
     verify._farey.cache_clear()
     try:
-        assert main(["verify", "--max-n", "12"]) == 0
+        assert _run_cli_suites_in_one_process(12)
     finally:
         # Leave no cache built while the scan was patched.
         verify._cached.cache_clear()

@@ -1,0 +1,107 @@
+"""`fareysub verify` runs its suites in worker processes; its output must not show it."""
+
+import itertools
+import multiprocessing
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from fareysub import counting, verify
+from fareysub.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SELECTORS = ["--all-maps", "--identities", "--neighbors"]
+
+
+def _verify_reference(flags, max_n):
+    """verify's (exit code, stdout, stderr), formatted from the serial library suites."""
+    everything = not flags
+    rows = []
+    if everything or "--all-maps" in flags:
+        rows += verify.map_suite(max_n)
+    if everything or "--identities" in flags:
+        rows += verify.identity_suite(max_n=max_n, enum_cross_max=min(max_n, 30))
+    if everything or "--neighbors" in flags:
+        rows += verify.neighbor_suite(max_n)
+    width = max(len(row.name) for row in rows)
+    out = f"{'suite':<{width}}  {'checks':>8}  {'failures':>8}  status\n"
+    for row in rows:
+        status = "ok" if row.ok else f"FAIL ({row.first_failure})"
+        out += f"{row.name:<{width}}  {row.checks:>8}  {row.failures:>8}  {status}\n"
+    failed = sum(row.failures for row in rows)
+    total = sum(row.checks for row in rows)
+    if failed:
+        return 3, out, f"{failed} of {total} checks failed\n"
+    return 0, out + f"all {total} checks passed\n", ""
+
+
+def _run(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _python(*args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("max_n", [0, 1, 6])
+@pytest.mark.parametrize(
+    "flags",
+    [list(chosen) for r in range(4) for chosen in itertools.combinations(SELECTORS, r)],
+    ids=lambda flags: " ".join(flags) or "default",
+)
+def test_verify_equals_the_serial_suites(capsys, flags, max_n):
+    got = _run(capsys, ["verify", *flags, "--max-n", str(max_n)])
+    assert got == _verify_reference(flags, max_n)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched check reaches the workers only when they are forked",
+)
+def test_a_check_failing_in_a_worker_fails_the_call(capsys, monkeypatch):
+    # Wrong at t = 7 only; the central identity reads it as well.
+    plain = counting.moebius_floor_sum
+    monkeypatch.setattr(counting, "moebius_floor_sum", lambda t: plain(t) + (t == 7))
+    code, out, err = _run(capsys, ["verify", "--identities", "--max-n", "6"])
+    assert (code, out, err) == _verify_reference(["--identities"], 6)
+    failing = [line for line in out.splitlines() if "FAIL" in line]
+    assert [line.partition("  ")[0] for line in failing] == [
+        "identities/moebius floor sum equals 1",
+        "identities/square-sum ties bool size to Farey size",
+    ]
+    assert all(line.endswith(" 1  FAIL (t=7)") for line in failing)
+    assert code == 3
+    assert re.fullmatch(r"2 of \d+ checks failed\n", err)
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_verify_prints_the_same_under_every_start_method(capsys, method):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    default = _run(capsys, ["verify", "--max-n", "6"])
+    script = (
+        "import multiprocessing, sys\n"
+        "multiprocessing.set_start_method(sys.argv[1])\n"
+        "from fareysub.cli import main\n"
+        "sys.exit(main(['verify', '--max-n', '6']))\n"
+    )
+    result = _python("-c", script, method)
+    assert (result.returncode, result.stdout, result.stderr) == default
+
+
+def test_verify_leaves_no_worker_running(capsys):
+    assert main(["verify", "--max-n", "4"]) == 0
+    assert multiprocessing.active_children() == []
+
+
+def test_importing_the_cli_loads_no_pool_modules():
+    script = "import sys, fareysub.cli\nprint([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    result = _python("-c", script)
+    assert (result.returncode, result.stdout) == (0, "[]\n")
