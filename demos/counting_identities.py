@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Cardinalities and ranks from Moebius sums, with the square-sum identity.
 
-Every count is computed by at least two independent closed forms which the
-library cross-asserts internally; this script also compares them with the
-brute-force enumeration for good measure.
+Every count has at least two independent closed forms.  The library
+computes one of them per call and keeps the others in its `*_variants`
+functions, which `fareysub verify` compares with the brute-force
+enumeration; this script compares the counts with the enumeration too.
 """
 
 from fareysub import (

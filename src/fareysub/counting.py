@@ -2,10 +2,11 @@
 
 Every formula is evaluated in exact integer arithmetic.  Sums with a 1/2
 factor are computed as twice the sum, checked for evenness, and halved.
-Where a cardinality has several published closed forms, the variants are
-all computed and cross-checked; a disagreement raises, since it can only
-mean a bug here.  Rank is the coprime-count sum alone; its other closed
-forms are in g_rank_variants, for verification.
+Each scalar count is computed once, by one closed form: a cardinality is
+the fnum Moebius sum over the pieces of `sequences._pieces`, and a rank is
+the coprime-count sum.  The other published closed forms are in the
+`*_variants` functions, which `verify` compares with the oracle and
+`fareysub card` lists and compares with each other.
 
 The coprime-count sums factor each j <= n once per order: _divisor_table
 keeps the squarefree divisors of 1..n as flat arrays in a bounded cache,
@@ -15,12 +16,21 @@ so the many calls of a sweep over one order share a single sieve.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .fraction import ZERO, DomainError, Fraction
-from .sequences import SequenceKind, SequenceSpec, _piece, _pieces, _require_member, member
+from .fraction import DomainError, Fraction
+from .sequences import (
+    _BOOL,
+    _FULL,
+    _GDIFF,
+    SequenceSpec,
+    _Piece,
+    _piece,
+    _pieces,
+    _require_member,
+    member,
+)
 
 
 def moebius(d: int) -> int:
@@ -44,7 +54,9 @@ def moebius(d: int) -> int:
     return result
 
 
-@lru_cache(maxsize=64)
+# One call reads at most three orders (bool's two halves and their shared
+# bound).  A table of order n takes 8n bytes: 32 MB for four at n = 10**6.
+@lru_cache(maxsize=4)
 def _mu_upto(limit: int) -> tuple[int, ...]:
     """Sieved Moebius values; index d holds mu(d), index 0 is unused."""
     mu = [1] * (limit + 1)
@@ -65,25 +77,6 @@ def _mu_upto(limit: int) -> tuple[int, ...]:
                 break
             mu[ip] = -mu[i]
     return tuple(mu)
-
-
-@dataclass(frozen=True)
-class MoebiusTable:
-    """Immutable table of Moebius values for 1 <= d <= limit."""
-
-    limit: int
-    values: tuple[int, ...]
-
-    @classmethod
-    def up_to(cls, limit: int) -> "MoebiusTable":
-        if limit < 1:
-            raise DomainError(f"table limit must be positive, got {limit}")
-        return cls(limit, _mu_upto(limit))
-
-    def __getitem__(self, d: int) -> int:
-        if not 1 <= d <= self.limit:
-            raise DomainError(f"d={d} outside table range [1, {self.limit}]")
-        return self.values[d]
 
 
 def _squarefree_divisors(h: int) -> list[tuple[int, int]]:
@@ -141,18 +134,16 @@ def _divisor_table(n: int) -> tuple[memoryview, memoryview]:
     return memoryview(starts).toreadonly(), memoryview(divisors).toreadonly()
 
 
-def _coprime_sum(n: int, r: int, h: int, k: int, pivot: int = 0) -> int:
-    """Sum over j <= n of the count of i coprime to j in an interval.
+def _coprime_sum(n: int, r: int, h: int, k: int) -> int:
+    """Sum over j <= n of the count of i coprime to j in [max(j - r, 1), jh/k].
 
-    The interval is [max(j - r, 1), jh/k] for j > pivot and [1, jh/k] for
-    j <= pivot.  It is read off _divisor_table(n) with plain loops.
+    It is read off _divisor_table(n) with plain loops.
     """
     starts, divisors = _divisor_table(n)
-    last_from_one = max(pivot, r + 1)  # j - r <= 1 up to r + 1 anyway
     total = 0
     for j in range(1, n + 1):
         top = (j * h) // k
-        low = j - r - 1 if j > last_from_one else 0
+        low = j - r - 1 if j > r + 1 else 0
         if low >= top:
             continue
         a, b = starts[j - 1], starts[j]
@@ -179,51 +170,35 @@ def phi_interval(h: int, i: int, l: int) -> int:
     return _coprime_in(_squarefree_divisors(h), i, l)
 
 
-def _phi_sums(n: int, m: int, h: int, k: int) -> dict[str, int]:
-    """Both coprime-count sums for the members of gdiff(n, m) in (0, h/k].
-
-    m must be >= 0.  The "split-phi-sum" splits the same index set at
-    j = n-m+1 (capped at n when m = 0); both sums share the divisors of j.
-    """
-    r = n - m
-    return {
-        "phi-sum": _coprime_sum(n, r, h, k),
-        "split-phi-sum": _coprime_sum(n, r, h, k, pivot=min(r + 1, n)),
-    }
-
-
 def _check_even_halved(twice: int, what: str) -> int:
     if twice % 2 != 0:
         raise RuntimeError(f"{what}: doubled sum {twice} is odd")
     return twice // 2
 
 
+def _size(pieces: tuple[_Piece, ...]) -> int:
+    """Members of the family that these pieces of `sequences._pieces` make up.
+
+    A piece gdiff(n', m') has |fnum(n', n' - m')| members, by the mirror;
+    the two pieces of bool share 1/2.
+    """
+    return sum(f_cardinality(n, n - m) for n, m, _, _ in pieces) + 1 - len(pieces)
+
+
 def g_cardinality_variants(n: int, m: int) -> dict[str, int]:
-    """All closed forms of the gdiff family size, keyed by variant name."""
-    if n < 1 or m > n - 1:
-        raise DomainError(f"gdiff cardinality requires n >= 1 and m <= n-1, got n={n}, m={m}")
-    m = max(m, 0)  # the difference bound is slack for m <= 0
-    # 0/1 plus the members in (0, 1/1].
-    variants = {name: 1 + value for name, value in _phi_sums(n, m, 1, 1).items()}
-    mu = _mu_upto(n)
-    twice = 2 + sum(
-        mu[d] * (2 * (n // d) - (n - m) // d) * ((n - m) // d + 1) for d in range(1, n + 1)
-    )
-    variants["moebius-sum"] = _check_even_halved(twice, f"gdiff cardinality n={n} m={m}")
-    return variants
+    """Both closed forms of the gdiff family size, keyed by variant name."""
+    moebius_sum = g_cardinality(n, m)
+    # 0/1 plus the members in (0, 1/1]; the difference bound is slack for m <= 0.
+    return {"phi-sum": 1 + _coprime_sum(n, n - max(m, 0), 1, 1), "moebius-sum": moebius_sum}
 
 
 def g_cardinality(n: int, m: int) -> int:
-    """Size of the gdiff family; all variants are computed and must agree."""
-    variants = g_cardinality_variants(n, m)
-    values = set(variants.values())
-    if len(values) != 1:
-        raise RuntimeError(f"gdiff cardinality variants disagree for n={n}, m={m}: {variants}")
-    return values.pop()
+    """Size of the gdiff family."""
+    return _size(_pieces(SequenceSpec(_GDIFF, n, m)))
 
 
 def _require_g_rankable(n: int, m: int, x: Fraction) -> None:
-    if x == ZERO or not member(SequenceSpec(SequenceKind.GDIFF, n, m), x):
+    if not member(SequenceSpec(_GDIFF, n, m), x):
         raise DomainError(f"{x} has no rank in the gdiff family n={n}, m={m}")
 
 
@@ -242,10 +217,9 @@ def g_rank_variants(n: int, m: int, x: Fraction) -> dict[str, int]:
     than trust a disagreement (none has been observed: against the oracle
     up to n = 30, against phi-sum on sampled members up to n = 3000).
     """
-    _require_g_rankable(n, m, x)
+    variants = {"phi-sum": g_rank(n, m, x)}
     m = max(m, 0)
     h, k = x.num, x.den
-    variants = _phi_sums(n, m, h, k)
     mu = _mu_upto(n)
     twice = 2
     for d in range(1, n + 1):
@@ -270,66 +244,57 @@ def rank(spec: SequenceSpec, x: Fraction) -> int:
     x is carried back into its piece of `sequences._pieces` and ranked there
     by g_rank, from the top if the piece's map reverses the order; past 1/2
     the bool family adds the first half, which shares 1/2 with the second.
-    A piece gdiff(n', m') has |fnum(n', n' - m')| members, by the mirror.
     """
     _require_member(spec, x)
     pieces = _pieces(spec)
     n, m, M, reverses = piece = _piece(pieces, x.num, x.den, -1)
-    y = M.inverse().apply(x)
-    index = g_rank(n, m, y) if y.num else 0
+    index = g_rank(n, m, M.inverse().apply(x))
     if reverses:
-        index = f_cardinality(n, n - m) - 1 - index
+        index = _size((piece,)) - 1 - index
     if piece is not pieces[0]:
-        index += f_cardinality(pieces[0][0], pieces[0][0] - pieces[0][1]) - 1
+        index += _size(pieces[:1]) - 1
     return index
 
 
 def f_cardinality_variants(q: int, p: int) -> dict[str, int]:
     """Both Moebius closed forms of the fnum family size."""
-    if q < 1 or p < 1:
-        raise DomainError(f"fnum cardinality requires q >= 1 and p >= 1, got q={q}, p={p}")
-    p = min(p, q)  # the numerator bound is slack beyond q
+    moebius_sum = f_cardinality(q, p)
+    p = min(p, q)
     mu = _mu_upto(q)
-    twice_a = 2 + sum(mu[d] * (2 * (q // d) - p // d) * (p // d + 1) for d in range(1, q + 1))
-    twice_b = 3 + sum(mu[d] * (p // d) * (2 * (q // d) - p // d) for d in range(1, q + 1))
+    twice = 3 + sum(mu[d] * (p // d) * (2 * (q // d) - p // d) for d in range(1, q + 1))
     return {
-        "moebius-sum": _check_even_halved(twice_a, f"fnum cardinality q={q} p={p}"),
-        "moebius-sum-alt": _check_even_halved(twice_b, f"fnum cardinality alt q={q} p={p}"),
+        "moebius-sum": moebius_sum,
+        "moebius-sum-alt": _check_even_halved(twice, f"fnum cardinality alt q={q} p={p}"),
     }
 
 
 def f_cardinality(q: int, p: int) -> int:
     """Size of the fnum family of order q with numerator bound p."""
-    variants = f_cardinality_variants(q, p)
-    values = set(variants.values())
-    if len(values) != 1:
-        raise RuntimeError(f"fnum cardinality variants disagree for q={q}, p={p}: {variants}")
-    return values.pop()
+    if q < 1 or p < 1:
+        raise DomainError(f"fnum cardinality requires q >= 1 and p >= 1, got q={q}, p={p}")
+    p = min(p, q)  # the numerator bound is slack beyond q
+    mu = _mu_upto(q)
+    twice = 2 + sum(mu[d] * (2 * (q // d) - p // d) * (p // d + 1) for d in range(1, q + 1))
+    return _check_even_halved(twice, f"fnum cardinality q={q} p={p}")
 
 
 def full_cardinality(n: int) -> int:
     """Size of the full Farey sequence of order n."""
-    return f_cardinality(n, n)
+    return _size(_pieces(SequenceSpec(_FULL, n)))
 
 
 def boolean_cardinality_variants(n: int, m: int) -> dict[str, int]:
     """Both closed forms of the bool family size."""
-    if n <= 1 or not 0 < m < n:
-        raise DomainError(f"bool cardinality requires n > 1 and 0 < m < n, got n={n}, m={m}")
+    half_sum = boolean_cardinality(n, m)
     p = min(m, n - m)
-    half_sum = f_cardinality(n - m, p) + f_cardinality(m, p) - 1
     mu = _mu_upto(p)
     product = 2 + sum(mu[d] * (m // d) * ((n - m) // d) for d in range(1, p + 1))
     return {"half-sum": half_sum, "moebius-product": product}
 
 
 def boolean_cardinality(n: int, m: int) -> int:
-    """Size of the bool family; both closed forms must agree."""
-    variants = boolean_cardinality_variants(n, m)
-    values = set(variants.values())
-    if len(values) != 1:
-        raise RuntimeError(f"bool cardinality variants disagree for n={n}, m={m}: {variants}")
-    return values.pop()
+    """Size of the bool family: its two halves, which share 1/2."""
+    return _size(_pieces(SequenceSpec(_BOOL, n, m)))
 
 
 def moebius_floor_sum(t: int) -> int:

@@ -108,13 +108,6 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(h, k)
 
 
-def compare(x: Fraction, y: Fraction) -> int:
-    """Return -1, 0, or 1 according to the order of x and y."""
-    lhs = x.num * y.den
-    rhs = y.num * x.den
-    return (lhs > rhs) - (lhs < rhs)
-
-
 def mediant(x: Fraction, y: Fraction) -> Fraction:
     """Reduced mediant (x.num + y.num)/(x.den + y.den).
 
@@ -187,8 +180,3 @@ class UnimodularMap:
 
 IDENTITY_MAP = UnimodularMap(1, 0, 0, 1)
 MIRROR_MAP = UnimodularMap(-1, 1, 0, 1)
-
-
-def apply_map(matrix: UnimodularMap, x: Fraction) -> Fraction:
-    """Apply the matrix to the vector presentation of x; see UnimodularMap."""
-    return matrix.apply(x)

@@ -9,9 +9,7 @@ from fareysub import (
     MIRROR_MAP,
     UnimodularMap,
     adjacency_determinant,
-    apply_map,
     catalog,
-    compare,
     make_fraction,
     mediant,
     mirror,
@@ -66,12 +64,6 @@ def test_parse_rejects_bad_input(text, hint):
         parse_fraction(text)
 
 
-def test_compare_examples():
-    assert compare(Fraction(1, 3), Fraction(2, 5)) == -1
-    assert compare(Fraction(1, 2), Fraction(1, 2)) == 0
-    assert compare(Fraction(3, 5), Fraction(1, 2)) == 1
-
-
 def test_rich_comparisons_are_a_total_order(oracle):
     farey = oracle(SequenceKind.FULL, 9)
     for i, x in enumerate(farey):
@@ -79,7 +71,8 @@ def test_rich_comparisons_are_a_total_order(oracle):
             assert (x < y) == (i < j)
             assert (x <= y) == (i <= j)
             assert (x == y) == (i == j)
-            assert compare(x, y) == (i > j) - (i < j)
+            assert (x > y) == (i > j)
+            assert (x >= y) == (i >= j)
 
 
 @pytest.mark.parametrize(
@@ -107,9 +100,9 @@ def test_adjacency_determinant(x, y, expected):
 
 
 def test_apply_map_examples():
-    assert apply_map(MIRROR_MAP, Fraction(1, 3)) == Fraction(2, 3)
-    assert apply_map(IDENTITY_MAP, Fraction(3, 5)) == Fraction(3, 5)
-    assert apply_map(UnimodularMap(1, 0, 1, 1), Fraction(1, 2)) == Fraction(1, 3)
+    assert MIRROR_MAP.apply(Fraction(1, 3)) == Fraction(2, 3)
+    assert IDENTITY_MAP.apply(Fraction(3, 5)) == Fraction(3, 5)
+    assert UnimodularMap(1, 0, 1, 1).apply(Fraction(1, 2)) == Fraction(1, 3)
 
 
 def test_apply_map_normalizes_zero_numerator():
@@ -164,6 +157,6 @@ def test_trusted_construction_is_indistinguishable(h, k):
     assert type(trusted) is Fraction
     assert trusted == checked and hash(trusted) == hash(checked)
     assert repr(trusted) == repr(checked) and str(trusted) == str(checked)
-    assert compare(trusted, checked) == 0 and not trusted < checked
+    assert not trusted < checked and not trusted > checked
     with pytest.raises(dataclasses.FrozenInstanceError):
         trusted.num = 2

@@ -105,3 +105,27 @@ def test_importing_the_cli_loads_no_pool_modules():
     script = "import sys, fareysub.cli\nprint([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
     result = _python("-c", script)
     assert (result.returncode, result.stdout) == (0, "[]\n")
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched variant reaches the workers only when they are forked",
+)
+def test_a_wrong_cardinality_variant_fails_verify_cleanly(capsys, monkeypatch):
+    # The alternate fnum form is wrong at q = 7 only.
+    plain = counting.f_cardinality_variants
+
+    def wrong_at_7(q, p):
+        variants = plain(q, p)
+        variants["moebius-sum-alt"] += q == 7
+        return variants
+
+    monkeypatch.setattr(counting, "f_cardinality_variants", wrong_at_7)
+    rows = verify.run_cli_suite("identities", 12)
+    failing = [row for row in rows if not row.ok]
+    assert [row.name for row in failing] == ["counting/fnum cardinality vs oracle"]
+    assert failing[0].failures == 9 and failing[0].first_failure.startswith("n=7 m=1 got ")
+    code, out, err = _run(capsys, ["verify", "--identities", "--max-n", "12"])
+    assert code == 3
+    assert "counting/fnum cardinality vs oracle" in out and "FAIL (n=7 m=1 got " in out
+    assert re.fullmatch(r"9 of \d+ checks failed\n", err)
