@@ -6,7 +6,8 @@ Each scalar count is computed once, by one closed form: a cardinality is
 the fnum Moebius sum over the pieces of `sequences._pieces`, and a rank is
 the coprime-count sum.  The other published closed forms are in the
 `*_variants` functions, which `verify` compares with the oracle and
-`fareysub card` lists and compares with each other.
+`fareysub card --format json` lists and compares with each other;
+`cardinality_variants` picks those of any family.
 
 The coprime-count sums factor each j <= n once per order: _divisor_table
 keeps the squarefree divisors of 1..n as flat arrays in a bounded cache,
@@ -155,19 +156,14 @@ def _coprime_sum(n: int, r: int, h: int, k: int) -> int:
     return total
 
 
-def _coprime_in(divisors: list[tuple[int, int]], i: int, l: int) -> int:
-    """Count of j in [max(i, 1), l] coprime to the number with these divisors."""
-    i = max(i, 1) - 1
-    if i >= l:
-        return 0
-    return sum(s * (l // d - i // d) for d, s in divisors)
-
-
 def phi_interval(h: int, i: int, l: int) -> int:
     """Count of j in [max(i, 1), l] that are coprime to h; 0 if empty."""
     if h < 1:
         raise DomainError(f"phi_interval requires h >= 1, got {h}")
-    return _coprime_in(_squarefree_divisors(h), i, l)
+    i = max(i, 1) - 1
+    if i >= l:
+        return 0
+    return sum(s * (l // d - i // d) for d, s in _squarefree_divisors(h))
 
 
 def _check_even_halved(twice: int, what: str) -> int:
@@ -185,6 +181,22 @@ def _size(pieces: tuple[_Piece, ...]) -> int:
     return sum(f_cardinality(n, n - m) for n, m, _, _ in pieces) + 1 - len(pieces)
 
 
+def cardinality(spec: SequenceSpec) -> int:
+    """Size of a family of any of the six kinds, by one Moebius sum per piece."""
+    return _size(_pieces(spec))
+
+
+def cardinality_variants(spec: SequenceSpec) -> tuple[str, dict[str, int]]:
+    """The reported formula's name and every closed form of the family size."""
+    if spec.kind is _GDIFF:
+        return "phi-sum", g_cardinality_variants(spec.n, spec.m)
+    if spec.kind is _BOOL:
+        return "half-sum", boolean_cardinality_variants(spec.n, spec.m)
+    # One piece, gdiff(n', m'): as large as fnum(n', n' - m'), its mirror image.
+    ((n, m, _, _),) = _pieces(spec)
+    return "moebius-sum", f_cardinality_variants(n, n - m)
+
+
 def g_cardinality_variants(n: int, m: int) -> dict[str, int]:
     """Both closed forms of the gdiff family size, keyed by variant name."""
     moebius_sum = g_cardinality(n, m)
@@ -194,7 +206,7 @@ def g_cardinality_variants(n: int, m: int) -> dict[str, int]:
 
 def g_cardinality(n: int, m: int) -> int:
     """Size of the gdiff family."""
-    return _size(_pieces(SequenceSpec(_GDIFF, n, m)))
+    return cardinality(SequenceSpec(_GDIFF, n, m))
 
 
 def _require_g_rankable(n: int, m: int, x: Fraction) -> None:
@@ -280,7 +292,7 @@ def f_cardinality(q: int, p: int) -> int:
 
 def full_cardinality(n: int) -> int:
     """Size of the full Farey sequence of order n."""
-    return _size(_pieces(SequenceSpec(_FULL, n)))
+    return cardinality(SequenceSpec(_FULL, n))
 
 
 def boolean_cardinality_variants(n: int, m: int) -> dict[str, int]:
@@ -294,7 +306,7 @@ def boolean_cardinality_variants(n: int, m: int) -> dict[str, int]:
 
 def boolean_cardinality(n: int, m: int) -> int:
     """Size of the bool family: its two halves, which share 1/2."""
-    return _size(_pieces(SequenceSpec(_BOOL, n, m)))
+    return cardinality(SequenceSpec(_BOOL, n, m))
 
 
 def moebius_floor_sum(t: int) -> int:

@@ -328,14 +328,7 @@ class VerificationReport:
 Oracle = Callable[[SequenceSpec], list[Fraction]]
 
 
-def verify_map(
-    map_id: str,
-    n: int,
-    m: int,
-    *,
-    max_order: int = 10_000,
-    oracle: Oracle | None = None,
-) -> VerificationReport:
+def verify_map(map_id: str, n: int, m: int, *, oracle: Oracle | None = None) -> VerificationReport:
     """Enumerate the domain, map every element, and check all claims.
 
     Checks monotonicity in the declared direction, that bijections hit the
@@ -343,9 +336,7 @@ def verify_map(
     collisions), and that the registered inverse undoes every element.
     An alternative oracle (for example a caching one) may be supplied.
     """
-    fetch = oracle if oracle is not None else (
-        lambda spec: enumerate_sequence(spec, max_order=max_order)
-    )
+    fetch = oracle if oracle is not None else enumerate_sequence
     entry = get_map(map_id)
     entry.check_constraint(n, m)
     domain = fetch(entry.domain(n, m))
@@ -431,43 +422,36 @@ def valid_parameter_pairs(map_id: str, max_n: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def composite_left_identity(
-    n: int, m: int, *, max_order: int = 10_000, oracle: Oracle | None = None
+def _composite_identity(
+    involution_id: str, down_id: str, up_id: str, mirror_order: int, n: int, m: int,
+    oracle: Oracle | None,
 ) -> bool:
+    """The involution equals down-map, reflection of order mirror_order, up-map, pointwise."""
+    involution = get_map(involution_id)
+    involution.check_constraint(n, m)
+    fetch = oracle if oracle is not None else enumerate_sequence
+    for x in fetch(involution.domain(n, m)):
+        step = apply_named(down_id, n, m, x)
+        step = apply_named("mirror_full", mirror_order, 0, step)
+        step = apply_named(up_id, n, m, step)
+        if step != apply_named(involution_id, n, m, x):
+            return False
+    return True
+
+
+def composite_left_identity(n: int, m: int, *, oracle: Oracle | None = None) -> bool:
     """The left involution equals down-map, reflection, up-map, pointwise.
 
     Requires 2m >= n, where the order-(n-m) fnum family is the whole Farey
     sequence of that order, so the middle reflection is defined on it.
     """
-    if 2 * m < n:
-        raise DomainError(f"composite left identity requires 2m >= n, got n={n}, m={m}")
-    fetch = oracle if oracle is not None else (
-        lambda spec: enumerate_sequence(spec, max_order=max_order)
+    return _composite_identity(
+        "prop_left_involution", "thm_left_to_f", "thm_f_to_left", n - m, n, m, oracle
     )
-    left = fetch(SequenceSpec(SequenceKind.BOOLEAN_LEFT, n, m))
-    for x in left:
-        step = apply_named("thm_left_to_f", n, m, x)
-        step = apply_named("mirror_full", n - m, 0, step)
-        step = apply_named("thm_f_to_left", n, m, step)
-        if step != apply_named("prop_left_involution", n, m, x):
-            return False
-    return True
 
 
-def composite_right_identity(
-    n: int, m: int, *, max_order: int = 10_000, oracle: Oracle | None = None
-) -> bool:
+def composite_right_identity(n: int, m: int, *, oracle: Oracle | None = None) -> bool:
     """The right involution equals down-map, reflection, up-map, pointwise."""
-    if 2 * m > n:
-        raise DomainError(f"composite right identity requires 2m <= n, got n={n}, m={m}")
-    fetch = oracle if oracle is not None else (
-        lambda spec: enumerate_sequence(spec, max_order=max_order)
+    return _composite_identity(
+        "prop_right_involution", "thm_right_to_g", "thm_g_to_right", m, n, m, oracle
     )
-    right = fetch(SequenceSpec(SequenceKind.BOOLEAN_RIGHT, n, m))
-    for x in right:
-        step = apply_named("thm_right_to_g", n, m, x)
-        step = apply_named("mirror_full", m, 0, step)
-        step = apply_named("thm_g_to_right", n, m, step)
-        if step != apply_named("prop_right_involution", n, m, x):
-            return False
-    return True

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from . import counting, maps, neighbors
 from .fraction import HALF, ONE, ZERO, DomainError, Fraction, adjacency_determinant
@@ -76,18 +77,25 @@ class SuiteRow:
                 self.first_failure = detail.format(*args) if args else detail
 
 
-def _gdiff_pairs(max_n: int) -> list[tuple[int, int]]:
-    # The canonical range plus two slack (negative) parameters per order.
-    return [(n, m) for n in range(1, max_n + 1) for m in range(-2, n)]
+def _sweep(kind: SequenceKind, orders: range, low: int, past_n: int) -> Iterator[SequenceSpec]:
+    """The specs of a kind with n in orders and m in [low, n + past_n] that SequenceSpec admits.
+
+    SequenceSpec is the one statement of which m each kind admits; a window
+    wider than that range adds the slack parameters it allows (negative m
+    for gdiff, m beyond n for fnum).  The full family takes m = None only.
+    """
+    for n in orders:
+        for m in [None] if kind is SequenceKind.FULL else range(low, n + past_n + 1):
+            try:
+                spec = SequenceSpec(kind, n, m)
+            except DomainError:
+                continue
+            yield spec
 
 
-def _fnum_pairs(max_n: int) -> list[tuple[int, int]]:
-    # The canonical range plus two slack parameters beyond the order.
-    return [(n, m) for n in range(1, max_n + 1) for m in range(1, n + 3)]
-
-
-def _bool_pairs(max_n: int) -> list[tuple[int, int]]:
-    return [(n, m) for n in range(2, max_n + 1) for m in range(1, n)]
+def _main_sweep(kind: SequenceKind, max_n: int) -> Iterator[SequenceSpec]:
+    # m in [-2, n + 2]: every admissible m, and up to two slack ones on each side.
+    return _sweep(kind, range(1, max_n + 1), -2, 2)
 
 
 def neighbor_suite(max_n: int = 20) -> list[SuiteRow]:
@@ -100,8 +108,9 @@ def neighbor_suite(max_n: int = 20) -> list[SuiteRow]:
     bool_row = SuiteRow("neighbors/bool pred+succ")
     ends_row = SuiteRow("neighbors/endpoint dispatch")
 
-    for n, m in _gdiff_pairs(max_n):
-        seq = cached_sequence(SequenceSpec(SequenceKind.GDIFF, n, m))
+    for spec in _main_sweep(SequenceKind.GDIFF, max_n):
+        n, m = spec.n, spec.m
+        seq = cached_sequence(spec)
         for i in range(1, len(seq) - 1):
             prev, x, nxt = seq[i - 1], seq[i], seq[i + 1]
             got = (neighbors.g_predecessor(n, m, x), neighbors.g_successor(n, m, x))
@@ -113,15 +122,16 @@ def neighbor_suite(max_n: int = 20) -> list[SuiteRow]:
             bwd = neighbors.g_prev_from_pair(n, m, x, nxt)
             pair_row.count(fwd == nxt and bwd == prev, "n={} m={} around {}", n, m, x)
 
-    for n, m in _fnum_pairs(max_n):
-        seq = cached_sequence(SequenceSpec(SequenceKind.FNUM, n, m))
+    for spec in _main_sweep(SequenceKind.FNUM, max_n):
+        n, m = spec.n, spec.m
+        seq = cached_sequence(spec)
         for i in range(1, len(seq) - 1):
             x = seq[i]
             got = (neighbors.f_predecessor(n, m, x), neighbors.f_successor(n, m, x))
             f_row.count(got == (seq[i - 1], seq[i + 1]), "n={} m={} x={} got {}", n, m, x, got)
 
-    for n, m in _bool_pairs(max_n):
-        spec = SequenceSpec(SequenceKind.BOOLEAN, n, m)
+    for spec in _main_sweep(SequenceKind.BOOLEAN, max_n):
+        n, m = spec.n, spec.m
         seq = cached_sequence(spec)
         index = {x: i for i, x in enumerate(seq)}
         if n != 2 * m:
@@ -141,27 +151,16 @@ def neighbor_suite(max_n: int = 20) -> list[SuiteRow]:
 
     # Endpoint handling of the unified dispatcher, spot-swept at small sizes.
     for kind in SequenceKind:
-        for n in range(1, min(max_n, 10) + 1):
-            if kind is SequenceKind.FULL:
-                ms: list[int | None] = [None]
-            elif kind is SequenceKind.GDIFF:
-                ms = list(range(-1, n))
-            else:
-                ms = list(range(1, n + 1))
-            for m in ms:
-                try:
-                    spec = SequenceSpec(kind, n, m)
-                except DomainError:
-                    continue
-                seq = cached_sequence(spec)
-                for i, x in enumerate(seq):
-                    res = neighbors.sequence_neighbors(spec, x)
-                    want_pred = seq[i - 1] if i > 0 else None
-                    want_succ = seq[i + 1] if i < len(seq) - 1 else None
-                    ends_row.count(
-                        (res.predecessor, res.successor) == (want_pred, want_succ),
-                        "{} n={} m={} x={}", kind.value, n, m, x,
-                    )
+        for spec in _sweep(kind, range(1, min(max_n, 10) + 1), -1, 0):
+            seq = cached_sequence(spec)
+            for i, x in enumerate(seq):
+                res = neighbors.sequence_neighbors(spec, x)
+                want_pred = seq[i - 1] if i > 0 else None
+                want_succ = seq[i + 1] if i < len(seq) - 1 else None
+                ends_row.count(
+                    (res.predecessor, res.successor) == (want_pred, want_succ),
+                    "{} n={} m={} x={}", kind.value, spec.n, spec.m, x,
+                )
 
     return [g_row, unit_row, pair_row, f_row, anchor_row, bool_row, ends_row]
 
@@ -188,27 +187,29 @@ def identity_suite(max_t: int = 300, enum_cross_max: int = 30, max_n: int = 20) 
 
     # Every closed form of a size is checked here, once; the scalar counts
     # compute one form each.
-    for row, pairs, kind, variants in (
-        (g_card_row, _gdiff_pairs, SequenceKind.GDIFF, counting.g_cardinality_variants),
-        (f_card_row, _fnum_pairs, SequenceKind.FNUM, counting.f_cardinality_variants),
-        (b_card_row, _bool_pairs, SequenceKind.BOOLEAN, counting.boolean_cardinality_variants),
+    for row, kind in (
+        (g_card_row, SequenceKind.GDIFF),
+        (f_card_row, SequenceKind.FNUM),
+        (b_card_row, SequenceKind.BOOLEAN),
     ):
-        for n, m in pairs(max_n):
-            got = variants(n, m)
-            want = len(cached_sequence(SequenceSpec(kind, n, m)))
-            row.count(set(got.values()) == {want}, "n={} m={} got {} want {}", n, m, got, want)
+        for spec in _main_sweep(kind, max_n):
+            _, got = counting.cardinality_variants(spec)
+            want = len(cached_sequence(spec))
+            row.count(
+                set(got.values()) == {want}, "n={} m={} got {} want {}", spec.n, spec.m, got, want
+            )
 
-    for n in range(2, min(max_n, 30) + 1):
-        for m in range(0, n):
-            seq = cached_sequence(SequenceSpec(SequenceKind.GDIFF, n, m))
-            for i, x in enumerate(seq):
-                if x == ZERO:
-                    continue
-                variants = counting.g_rank_variants(n, m, x)
-                rank_row.count(variants["phi-sum"] == i, "n={} m={} x={}", n, m, x)
-                rank_variant_row.count(
-                    variants["moebius-sum"] == i, "n={} m={} x={} got {}", n, m, x, variants
-                )
+    for spec in _sweep(SequenceKind.GDIFF, range(2, min(max_n, 30) + 1), 0, 0):
+        n, m = spec.n, spec.m
+        seq = cached_sequence(spec)
+        for i, x in enumerate(seq):
+            if x == ZERO:
+                continue
+            variants = counting.g_rank_variants(n, m, x)
+            rank_row.count(variants["phi-sum"] == i, "n={} m={} x={}", n, m, x)
+            rank_variant_row.count(
+                variants["moebius-sum"] == i, "n={} m={} x={} got {}", n, m, x, variants
+            )
 
     return [
         mertens_row,
@@ -232,19 +233,14 @@ def map_suite(max_n: int = 20) -> list[SuiteRow]:
             row.count(report.passed, "n={} m={}: {}", n, m, report.counterexample)
         rows.append(row)
 
-    left_row = SuiteRow("maps/composite left involution identity")
-    right_row = SuiteRow("maps/composite right involution identity")
-    for n in range(2, max_n + 1):
-        for m in range(1, n):
-            if 2 * m >= n:
-                left_row.count(
-                    maps.composite_left_identity(n, m, oracle=cached_sequence), "n={} m={}", n, m
-                )
-            if 2 * m <= n:
-                right_row.count(
-                    maps.composite_right_identity(n, m, oracle=cached_sequence), "n={} m={}", n, m
-                )
-    rows += [left_row, right_row]
+    for side, identity in (
+        ("left", maps.composite_left_identity),
+        ("right", maps.composite_right_identity),
+    ):
+        row = SuiteRow(f"maps/composite {side} involution identity")
+        for n, m in maps.valid_parameter_pairs(f"prop_{side}_involution", max_n):
+            row.count(identity(n, m, oracle=cached_sequence), "n={} m={}", n, m)
+        rows.append(row)
     return rows
 
 
@@ -296,22 +292,22 @@ def structure_suite(max_n: int = 20) -> list[SuiteRow]:
             ends_row.count(first == ZERO and last == ONE, "{}", spec)
         gen_row.count(generate_sequence(spec) == seq, "{}", spec)
 
-    for n in range(1, max_n + 1):
-        check_sequence(SequenceSpec(SequenceKind.FULL, n))
-    for n, m in _fnum_pairs(max_n):
-        check_sequence(SequenceSpec(SequenceKind.FNUM, n, m))
-    for n, m in _gdiff_pairs(max_n):
-        spec = SequenceSpec(SequenceKind.GDIFF, n, m)
+    for kind in (SequenceKind.FULL, SequenceKind.FNUM):
+        for spec in _main_sweep(kind, max_n):
+            check_sequence(spec)
+    for spec in _main_sweep(SequenceKind.GDIFF, max_n):
+        n, m = spec.n, spec.m
         check_sequence(spec)
         seq = cached_sequence(spec)
         second_row.count(
             seq[1] == Fraction(1, min(n - m + 1, n)), "n={} m={} second={}", n, m, seq[1]
         )
-    for n, m in _bool_pairs(max_n):
-        check_sequence(SequenceSpec(SequenceKind.BOOLEAN, n, m))
+    for spec in _main_sweep(SequenceKind.BOOLEAN, max_n):
+        n, m = spec.n, spec.m
+        check_sequence(spec)
         check_sequence(SequenceSpec(SequenceKind.BOOLEAN_LEFT, n, m))
         check_sequence(SequenceSpec(SequenceKind.BOOLEAN_RIGHT, n, m))
-        both = cached_sequence(SequenceSpec(SequenceKind.BOOLEAN, n, m))
+        both = cached_sequence(spec)
         fset = set(cached_sequence(SequenceSpec(SequenceKind.FNUM, n, m)))
         gseq = cached_sequence(SequenceSpec(SequenceKind.GDIFF, n, m))
         intersect_row.count(

@@ -21,7 +21,7 @@ from fareysub import (
     generate_sequence,
     parse_fraction,
 )
-from fareysub import cli
+from fareysub import cli, counting
 from fareysub.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -331,6 +331,27 @@ def test_card_json_for_every_kind(capsys, kind):
             code, out, err = run(capsys, "card", "--kind", kind, "-n", str(n), *m_args, "--format", "json")
             assert (code, err) == (0, ""), spec
             assert out == _card_reference(spec), spec
+
+
+@pytest.mark.parametrize("kind", [kind.value for kind in SequenceKind])
+def test_plain_card_prints_the_json_cardinality_without_variants(capsys, monkeypatch, kind):
+    argvs = []
+    for n in range(1, 41):
+        for m in [None] if kind == "full" else range(-3, n + 4):
+            try:
+                SequenceSpec(SequenceKind(kind), n, m)
+            except DomainError:
+                continue
+            argvs.append(["card", "--kind", kind, "-n", str(n)] + ([] if m is None else ["-m", str(m)]))
+    want = [json.loads(run(capsys, *argv, "--format", "json")[1])["cardinality"] for argv in argvs]
+
+    def unused(*args):
+        raise AssertionError("plain card computed a cardinality variant")
+
+    for name in ("g_cardinality_variants", "f_cardinality_variants", "boolean_cardinality_variants"):
+        monkeypatch.setattr(counting, name, unused)
+    for argv, value in zip(argvs, want):
+        assert run(capsys, *argv) == (0, f"{value}\n", ""), argv
 
 
 _FRACTION_TEXT = st.one_of(

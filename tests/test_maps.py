@@ -195,6 +195,13 @@ def test_composite_identities_small_sweep():
                 assert composite_right_identity(n, m)
 
 
+def test_composite_identities_reject_the_involution_constraint():
+    with pytest.raises(DomainError, match="prop_left_involution requires 2m >= n"):
+        composite_left_identity(6, 2)
+    with pytest.raises(DomainError, match="prop_right_involution requires 2m <= n"):
+        composite_right_identity(6, 4)
+
+
 def test_mirror_boolean_is_an_involution(oracle):
     for n in range(2, 11):
         for m in range(1, n):
