@@ -115,19 +115,21 @@ def cmd_card(args: argparse.Namespace) -> int:
 def cmd_rank(args: argparse.Namespace) -> int:
     spec = SequenceSpec(SequenceKind(args.kind), args.n, _require_m(args))
     x = _parse_fraction_arg(args.fraction)
-    if spec.kind is SequenceKind.GDIFF:
+    gdiff = spec.kind is SequenceKind.GDIFF
+    if args.format != "json":
+        print(counting.g_rank(spec.n, spec.m, x) if gdiff else counting.rank(spec, x))
+        return EXIT_OK
+    # The json form lists the gdiff rank formulas, so only it computes them.
+    if gdiff:
         assert spec.m is not None
         variants = counting.g_rank_variants(spec.n, spec.m, x)
         value, method = variants["phi-sum"], "phi-sum"
     else:
         value, method, variants = counting.rank(spec, x), "phi-sum-transport", {}
-    if args.format == "json":
-        metadata = _spec_metadata(spec) | {"target": str(x), "method": method}
-        if variants:
-            metadata["variants"] = variants
-        print(json.dumps({"rank": value, "metadata": metadata}))
-    else:
-        print(value)
+    metadata = _spec_metadata(spec) | {"target": str(x), "method": method}
+    if variants:
+        metadata["variants"] = variants
+    print(json.dumps({"rank": value, "metadata": metadata}))
     return EXIT_OK
 
 

@@ -2,10 +2,12 @@
 
 Each entry couples a 2x2 integer matrix with the family it maps from and
 the family it maps onto, both parameterized by the ambient pair (n, m) of
-the bool family the statement lives in.  Bijective entries carry their
-inverse entry and the parameter transform that points the inverse at the
-right sequences.  `verify_map` replays a map over the enumeration oracle
-and checks every advertised property element by element.
+the bool family the statement lives in.  Each bijection is stated once:
+its inverse entry is derived from it, with the inverse matrix and the two
+families swapped at the parameters the inverse transform gives.  An entry
+is bijective exactly when it names an inverse.  `verify_map` replays a map
+over the enumeration oracle and checks every advertised property element
+by element.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from enum import Enum
 from typing import Callable
 
 from .fraction import MIRROR_MAP, DomainError, Fraction, UnimodularMap
-from .sequences import SequenceKind, SequenceSpec, enumerate_sequence, member
-from .sequences import _FNUM, _FULL, _GDIFF, _G_TO_RIGHT, _GDUAL_TO_LEFT
+from .sequences import SequenceSpec, enumerate_sequence, member
+from .sequences import _BOOL, _FNUM, _FULL, _GDIFF, _G_TO_RIGHT, _GDUAL_TO_LEFT, _LEFT, _RIGHT
 
 
 class Direction(str, Enum):
@@ -30,52 +32,39 @@ class MapClass(str, Enum):
 
 
 SpecFactory = Callable[[int, int], SequenceSpec]
+ParamTransform = Callable[[int, int], tuple[int, int]]
 
 
 @dataclass(frozen=True)
 class NamedMap:
-    """A registered monotone map together with its advertised behavior."""
+    """A registered monotone map together with its advertised behavior.
+
+    A bijective entry names its inverse entry, and an injective one names
+    none: the class is read off `inverse_id`.  In the catalog each bijection
+    is stated once and its inverse entry is derived from it.
+    """
 
     id: str
     matrix: UnimodularMap
     domain: SpecFactory
     codomain: SpecFactory
     direction: Direction
-    map_class: MapClass
     constraint: Callable[[int, int], bool] | None = None
     constraint_text: str = ""
     # Identifier of the inverse entry and how (n, m) transforms under it;
     # only bijective entries have one.
     inverse_id: str | None = None
-    inverse_params: Callable[[int, int], tuple[int, int]] | None = None
+    inverse_params: ParamTransform | None = None
+
+    @property
+    def map_class(self) -> MapClass:
+        return MapClass.INJECTIVE if self.inverse_id is None else MapClass.BIJECTIVE
 
     def check_constraint(self, n: int, m: int) -> None:
         if self.constraint is not None and not self.constraint(n, m):
             raise DomainError(
                 f"map {self.id} requires {self.constraint_text}, got n={n}, m={m}"
             )
-
-
-def _full(n: int, m: int) -> SequenceSpec:
-    return SequenceSpec(_FULL, n)
-
-
-def _fnum(n_of: Callable[[int, int], int], m_of: Callable[[int, int], int]) -> SpecFactory:
-    return lambda n, m: SequenceSpec(_FNUM, n_of(n, m), m_of(n, m))
-
-
-def _gdiff(n_of: Callable[[int, int], int], m_of: Callable[[int, int], int]) -> SpecFactory:
-    return lambda n, m: SequenceSpec(_GDIFF, n_of(n, m), m_of(n, m))
-
-
-def _bool(kind: SequenceKind, complement: bool = False) -> SpecFactory:
-    if complement:
-        return lambda n, m: SequenceSpec(kind, n, n - m)
-    return lambda n, m: SequenceSpec(kind, n, m)
-
-
-_LEFT = _bool(SequenceKind.BOOLEAN_LEFT)
-_RIGHT = _bool(SequenceKind.BOOLEAN_RIGHT)
 
 
 def _SAME(n: int, m: int) -> tuple[int, int]:
@@ -86,197 +75,107 @@ def _COMPLEMENT(n: int, m: int) -> tuple[int, int]:
     return n, n - m
 
 
-def _build_catalog() -> tuple[NamedMap, ...]:
-    entries = [
-        NamedMap(
-            "mirror_full",
-            MIRROR_MAP,
-            _full,
-            _full,
-            Direction.REVERSING,
-            MapClass.BIJECTIVE,
-            inverse_id="mirror_full",
-            inverse_params=_SAME,
-        ),
-        NamedMap(
-            "mirror_boolean",
-            MIRROR_MAP,
-            _bool(SequenceKind.BOOLEAN),
-            _bool(SequenceKind.BOOLEAN, complement=True),
-            Direction.REVERSING,
-            MapClass.BIJECTIVE,
-            inverse_id="mirror_boolean",
-            inverse_params=_COMPLEMENT,
-        ),
-        NamedMap(
-            "lemma_f_to_g",
-            MIRROR_MAP,
-            _fnum(lambda n, m: n, lambda n, m: m),
-            _gdiff(lambda n, m: n, lambda n, m: n - m),
-            Direction.REVERSING,
-            MapClass.BIJECTIVE,
-            inverse_id="lemma_g_to_f",
-            inverse_params=_COMPLEMENT,
-        ),
-        NamedMap(
-            "lemma_g_to_f",
-            MIRROR_MAP,
-            _gdiff(lambda n, m: n, lambda n, m: m),
-            _fnum(lambda n, m: n, lambda n, m: n - m),
-            Direction.REVERSING,
-            MapClass.BIJECTIVE,
-            inverse_id="lemma_f_to_g",
-            inverse_params=_COMPLEMENT,
-        ),
-        NamedMap(
-            "thm_left_to_f",
-            UnimodularMap(1, 0, -1, 1),  # h/k -> h/(k-h)
-            _LEFT,
-            _fnum(lambda n, m: n - m, lambda n, m: m),
-            Direction.PRESERVING,
-            MapClass.BIJECTIVE,
-            inverse_id="thm_f_to_left",
-            inverse_params=_SAME,
-        ),
-        NamedMap(
-            "thm_f_to_left",
-            UnimodularMap(1, 0, 1, 1),  # h/k -> h/(k+h)
-            _fnum(lambda n, m: n - m, lambda n, m: m),
-            _LEFT,
-            Direction.PRESERVING,
-            MapClass.BIJECTIVE,
-            inverse_id="thm_left_to_f",
-            inverse_params=_SAME,
-        ),
-        NamedMap(
-            "thm_right_to_g",
-            _G_TO_RIGHT.inverse(),  # h/k -> (2h-k)/h
-            _RIGHT,
-            _gdiff(lambda n, m: m, lambda n, m: 2 * m - n),
-            Direction.PRESERVING,
-            MapClass.BIJECTIVE,
-            inverse_id="thm_g_to_right",
-            inverse_params=_SAME,
-        ),
-        NamedMap(
-            "thm_g_to_right",
-            _G_TO_RIGHT,  # h/k -> k/(2k-h)
-            _gdiff(lambda n, m: m, lambda n, m: 2 * m - n),
-            _RIGHT,
-            Direction.PRESERVING,
-            MapClass.BIJECTIVE,
-            inverse_id="thm_right_to_g",
-            inverse_params=_SAME,
-        ),
-        NamedMap(
-            "thm_left_to_gdual",
-            _GDUAL_TO_LEFT.inverse(),  # h/k -> (k-2h)/(k-h)
-            _LEFT,
-            _gdiff(lambda n, m: n - m, lambda n, m: n - 2 * m),
-            Direction.REVERSING,
-            MapClass.BIJECTIVE,
-            inverse_id="thm_gdual_to_left",
-            inverse_params=_SAME,
-        ),
-        NamedMap(
-            "thm_gdual_to_left",
-            _GDUAL_TO_LEFT,  # h/k -> (k-h)/(2k-h)
-            _gdiff(lambda n, m: n - m, lambda n, m: n - 2 * m),
-            _LEFT,
-            Direction.REVERSING,
-            MapClass.BIJECTIVE,
-            inverse_id="thm_left_to_gdual",
-            inverse_params=_SAME,
-        ),
-        NamedMap(
-            "thm_right_to_f",
-            UnimodularMap(-1, 1, 1, 0),  # h/k -> (k-h)/h
-            _RIGHT,
-            _fnum(lambda n, m: m, lambda n, m: n - m),
-            Direction.REVERSING,
-            MapClass.BIJECTIVE,
-            inverse_id="thm_f_to_right",
-            inverse_params=_SAME,
-        ),
-        NamedMap(
-            "thm_f_to_right",
-            UnimodularMap(0, 1, 1, 1),  # h/k -> k/(k+h)
-            _fnum(lambda n, m: m, lambda n, m: n - m),
-            _RIGHT,
-            Direction.REVERSING,
-            MapClass.BIJECTIVE,
-            inverse_id="thm_right_to_f",
-            inverse_params=_SAME,
-        ),
-        NamedMap(
-            "prop_left_involution",
-            UnimodularMap(-2, 1, -3, 2),  # h/k -> (k-2h)/(2k-3h)
-            _LEFT,
-            _LEFT,
-            Direction.REVERSING,
-            MapClass.BIJECTIVE,
-            constraint=lambda n, m: 2 * m >= n,
-            constraint_text="2m >= n",
-            inverse_id="prop_left_involution",
-            inverse_params=_SAME,
-        ),
-        NamedMap(
-            "prop_left_to_right_pres",
-            UnimodularMap(-1, 1, -3, 2),  # h/k -> (k-h)/(2k-3h)
-            _LEFT,
-            _RIGHT,
-            Direction.PRESERVING,
-            MapClass.INJECTIVE,
-            constraint=lambda n, m: 2 * m >= n,
-            constraint_text="2m >= n",
-        ),
-        NamedMap(
-            "prop_left_to_right_rev",
-            MIRROR_MAP,
-            _LEFT,
-            _RIGHT,
-            Direction.REVERSING,
-            MapClass.INJECTIVE,
-            constraint=lambda n, m: 2 * m >= n,
-            constraint_text="2m >= n",
-        ),
-        NamedMap(
-            "prop_right_involution",
-            UnimodularMap(1, 0, 3, -1),  # h/k -> h/(3h-k)
-            _RIGHT,
-            _RIGHT,
-            Direction.REVERSING,
-            MapClass.BIJECTIVE,
-            constraint=lambda n, m: 2 * m <= n,
-            constraint_text="2m <= n",
-            inverse_id="prop_right_involution",
-            inverse_params=_SAME,
-        ),
-        NamedMap(
-            "prop_right_to_left_pres",
-            UnimodularMap(2, -1, 3, -1),  # h/k -> (2h-k)/(3h-k)
-            _RIGHT,
-            _LEFT,
-            Direction.PRESERVING,
-            MapClass.INJECTIVE,
-            constraint=lambda n, m: 2 * m <= n,
-            constraint_text="2m <= n",
-        ),
-        NamedMap(
-            "prop_right_to_left_rev",
-            MIRROR_MAP,
-            _RIGHT,
-            _LEFT,
-            Direction.REVERSING,
-            MapClass.INJECTIVE,
-            constraint=lambda n, m: 2 * m <= n,
-            constraint_text="2m <= n",
-        ),
-    ]
-    return tuple(entries)
+# A constraint on (n, m) and the text that names it: each involution and
+# injection on the halves holds on one side of 2m = n.
+_NO_CONSTRAINT = (None, "")
+_TWO_M_GE_N = (lambda n, m: 2 * m >= n, "2m >= n")
+_TWO_M_LE_N = (lambda n, m: 2 * m <= n, "2m <= n")
 
 
-_CATALOG = _build_catalog()
+def _full(n: int, m: int) -> SequenceSpec:
+    return SequenceSpec(_FULL, n)
+
+
+def _left(n: int, m: int) -> SequenceSpec:
+    return SequenceSpec(_LEFT, n, m)
+
+
+def _right(n: int, m: int) -> SequenceSpec:
+    return SequenceSpec(_RIGHT, n, m)
+
+
+def _bijection(
+    id: str, inverse_id: str, matrix: UnimodularMap, domain: SpecFactory, codomain: SpecFactory,
+    direction: Direction, params: ParamTransform = _SAME,
+    constraint: tuple[Callable[[int, int], bool] | None, str] = _NO_CONSTRAINT,
+) -> tuple[NamedMap, ...]:
+    """The stated bijection, then its inverse, or the stated one alone if it is its own inverse.
+
+    The derived inverse has the inverse matrix and the same direction.  At
+    (n, m) its domain is the stated codomain at params(n, m), and its
+    codomain the stated domain there; params is its own inverse.  A
+    constraint binds the stated entry only; in the catalog only involutions
+    have one.
+    """
+    stated = NamedMap(id, matrix, domain, codomain, direction, *constraint, inverse_id, params)
+    if inverse_id == id:
+        return (stated,)
+    inverse_domain, inverse_codomain = codomain, domain
+    if params is not _SAME:
+        inverse_domain = lambda n, m: codomain(*params(n, m))  # noqa: E731
+        inverse_codomain = lambda n, m: domain(*params(n, m))  # noqa: E731
+    derived = NamedMap(
+        inverse_id, matrix.inverse(), inverse_domain, inverse_codomain, direction,
+        inverse_id=id, inverse_params=params,
+    )
+    return stated, derived
+
+
+_PRESERVING, _REVERSING = Direction.PRESERVING, Direction.REVERSING
+
+# The order of the entries is part of the interface; where a derived
+# inverse comes first, the pair is reversed.  The matrices of lemma_g_to_f,
+# thm_g_to_right and thm_gdual_to_left are the objects `sequences._pieces`
+# carries the families with.
+_CATALOG = (
+    *_bijection("mirror_full", "mirror_full", MIRROR_MAP, _full, _full, _REVERSING),
+    *_bijection(
+        "mirror_boolean", "mirror_boolean", MIRROR_MAP,
+        lambda n, m: SequenceSpec(_BOOL, n, m), lambda n, m: SequenceSpec(_BOOL, n, n - m),
+        _REVERSING, _COMPLEMENT,
+    ),
+    *_bijection(
+        "lemma_g_to_f", "lemma_f_to_g", MIRROR_MAP,  # h/k -> (k-h)/k
+        lambda n, m: SequenceSpec(_GDIFF, n, m), lambda n, m: SequenceSpec(_FNUM, n, n - m),
+        _REVERSING, _COMPLEMENT,
+    )[::-1],
+    *_bijection(
+        "thm_left_to_f", "thm_f_to_left", UnimodularMap(1, 0, -1, 1),  # h/k -> h/(k-h)
+        _left, lambda n, m: SequenceSpec(_FNUM, n - m, m), _PRESERVING,
+    ),
+    *_bijection(
+        "thm_g_to_right", "thm_right_to_g", _G_TO_RIGHT,  # h/k -> k/(2k-h)
+        lambda n, m: SequenceSpec(_GDIFF, m, 2 * m - n), _right, _PRESERVING,
+    )[::-1],
+    *_bijection(
+        "thm_gdual_to_left", "thm_left_to_gdual", _GDUAL_TO_LEFT,  # h/k -> (k-h)/(2k-h)
+        lambda n, m: SequenceSpec(_GDIFF, n - m, n - 2 * m), _left, _REVERSING,
+    )[::-1],
+    *_bijection(
+        "thm_right_to_f", "thm_f_to_right", UnimodularMap(-1, 1, 1, 0),  # h/k -> (k-h)/h
+        _right, lambda n, m: SequenceSpec(_FNUM, m, n - m), _REVERSING,
+    ),
+    *_bijection(
+        "prop_left_involution", "prop_left_involution",
+        UnimodularMap(-2, 1, -3, 2),  # h/k -> (k-2h)/(2k-3h)
+        _left, _left, _REVERSING, constraint=_TWO_M_GE_N,
+    ),
+    NamedMap(
+        "prop_left_to_right_pres", UnimodularMap(-1, 1, -3, 2),  # h/k -> (k-h)/(2k-3h)
+        _left, _right, _PRESERVING, *_TWO_M_GE_N,
+    ),
+    NamedMap("prop_left_to_right_rev", MIRROR_MAP, _left, _right, _REVERSING, *_TWO_M_GE_N),
+    *_bijection(
+        "prop_right_involution", "prop_right_involution",
+        UnimodularMap(1, 0, 3, -1),  # h/k -> h/(3h-k)
+        _right, _right, _REVERSING, constraint=_TWO_M_LE_N,
+    ),
+    NamedMap(
+        "prop_right_to_left_pres", UnimodularMap(2, -1, 3, -1),  # h/k -> (2h-k)/(3h-k)
+        _right, _left, _PRESERVING, *_TWO_M_LE_N,
+    ),
+    NamedMap("prop_right_to_left_rev", MIRROR_MAP, _right, _left, _REVERSING, *_TWO_M_LE_N),
+)
 _BY_ID = {entry.id: entry for entry in _CATALOG}
 
 

@@ -354,6 +354,30 @@ def test_plain_card_prints_the_json_cardinality_without_variants(capsys, monkeyp
         assert run(capsys, *argv) == (0, f"{value}\n", ""), argv
 
 
+@pytest.mark.parametrize("kind", [kind.value for kind in SequenceKind])
+def test_plain_rank_prints_the_json_rank_without_variants(capsys, monkeypatch, oracle, kind):
+    # Every member of every spec up to n = 16: two in-process calls of about
+    # 150 us per member, 5 s in all; n = 30 would take 50 s.
+    argvs = []
+    for n in range(1, 17):
+        for m in [None] if kind == "full" else range(-3, n + 4):
+            try:
+                SequenceSpec(SequenceKind(kind), n, m)
+            except DomainError:
+                continue
+            m_args = [] if m is None else ["-m", str(m)]
+            for x in oracle(SequenceKind(kind), n, m):
+                argvs.append(["rank", "--kind", kind, "-n", str(n), *m_args, str(x)])
+    want = [json.loads(run(capsys, *argv, "--format", "json")[1])["rank"] for argv in argvs]
+
+    def unused(*args):
+        raise AssertionError("plain rank computed a rank variant")
+
+    monkeypatch.setattr(counting, "g_rank_variants", unused)
+    for argv, value in zip(argvs, want):
+        assert run(capsys, *argv) == (0, f"{value}\n", ""), argv
+
+
 _FRACTION_TEXT = st.one_of(
     st.integers(1, 70).flatmap(lambda k: st.integers(0, k).map(lambda h: f"{h}/{k}")),
     st.tuples(st.integers(0, 30), st.integers(1, 30), st.integers(2, 4)).map(

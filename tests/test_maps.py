@@ -46,6 +46,32 @@ ALL_IDS = [
 ]
 
 
+# The table demos/bijection_atlas.py prints, recorded while all eighteen
+# entries were still written out by hand: id, matrix rows, direction, class,
+# constraint text, inverse id.  It is the one independent statement of the
+# matrices the catalog now derives.
+_ATLAS = [
+    ("mirror_full", ((-1, 1), (0, 1)), "reversing", "bijective", "", "mirror_full"),
+    ("mirror_boolean", ((-1, 1), (0, 1)), "reversing", "bijective", "", "mirror_boolean"),
+    ("lemma_f_to_g", ((-1, 1), (0, 1)), "reversing", "bijective", "", "lemma_g_to_f"),
+    ("lemma_g_to_f", ((-1, 1), (0, 1)), "reversing", "bijective", "", "lemma_f_to_g"),
+    ("thm_left_to_f", ((1, 0), (-1, 1)), "preserving", "bijective", "", "thm_f_to_left"),
+    ("thm_f_to_left", ((1, 0), (1, 1)), "preserving", "bijective", "", "thm_left_to_f"),
+    ("thm_right_to_g", ((2, -1), (1, 0)), "preserving", "bijective", "", "thm_g_to_right"),
+    ("thm_g_to_right", ((0, 1), (-1, 2)), "preserving", "bijective", "", "thm_right_to_g"),
+    ("thm_left_to_gdual", ((-2, 1), (-1, 1)), "reversing", "bijective", "", "thm_gdual_to_left"),
+    ("thm_gdual_to_left", ((-1, 1), (-1, 2)), "reversing", "bijective", "", "thm_left_to_gdual"),
+    ("thm_right_to_f", ((-1, 1), (1, 0)), "reversing", "bijective", "", "thm_f_to_right"),
+    ("thm_f_to_right", ((0, 1), (1, 1)), "reversing", "bijective", "", "thm_right_to_f"),
+    ("prop_left_involution", ((-2, 1), (-3, 2)), "reversing", "bijective", "2m >= n", "prop_left_involution"),
+    ("prop_left_to_right_pres", ((-1, 1), (-3, 2)), "preserving", "injective", "2m >= n", None),
+    ("prop_left_to_right_rev", ((-1, 1), (0, 1)), "reversing", "injective", "2m >= n", None),
+    ("prop_right_involution", ((1, 0), (3, -1)), "reversing", "bijective", "2m <= n", "prop_right_involution"),
+    ("prop_right_to_left_pres", ((2, -1), (3, -1)), "preserving", "injective", "2m <= n", None),
+    ("prop_right_to_left_rev", ((-1, 1), (0, 1)), "reversing", "injective", "2m <= n", None),
+]
+
+
 def test_catalog_contents():
     entries = catalog()
     assert len(entries) == 18
@@ -54,6 +80,10 @@ def test_catalog_contents():
     assert get_map("prop_left_involution").matrix.rows() == ((-2, 1), (-3, 2))
     assert get_map("thm_left_to_f").matrix.rows() == ((1, 0), (-1, 1))
     assert get_map("thm_right_to_g").matrix.rows() == ((2, -1), (1, 0))
+    assert [
+        (e.id, e.matrix.rows(), e.direction.value, e.map_class.value, e.constraint_text, e.inverse_id)
+        for e in entries
+    ] == _ATLAS
 
 
 def test_catalog_directions_and_classes():
