@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import Sequence
 
-from . import counting, maps, neighbors, verify
+from . import counting, maps, neighbors
 from .fraction import DomainError, Fraction, parse_fraction
 from .sequences import SequenceKind, SequenceSpec, _term_pairs
 
@@ -168,18 +168,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not selected:
         selected = ["maps", "identities", "neighbors"]
 
-    # Imported here so that no other subcommand pays for the pool's modules.
+    # Imported here so that no other subcommand pays for the pool's modules
+    # or for the suites.
     from concurrent.futures import ProcessPoolExecutor
 
-    # One suite per worker. Each worker fills its own caches, and neither the
-    # pool nor a worker outlives this call.
-    with ProcessPoolExecutor(max_workers=min(len(selected), _usable_cpus())) as pool:
-        futures = {
-            name: pool.submit(verify.run_cli_suite, name, args.max_n)
-            for name in verify.CLI_SUITES
-            if name in selected
-        }
-        rows = [row for name in selected for row in futures[name].result()]
+    from . import verify
+
+    # One part per task, costliest first, so the workers finish close
+    # together. Each worker fills its own caches, and neither the pool nor a
+    # worker outlives this call.
+    parts = [part for part in verify.PARTS if part.suite in selected]
+    with ProcessPoolExecutor(max_workers=min(len(parts), _usable_cpus())) as pool:
+        futures = {part: pool.submit(part.rows, args.max_n) for part in parts}
+        rows = [
+            row
+            for name in selected
+            for part in verify.suite_parts(name)
+            for row in futures[part].result()
+        ]
 
     width = max(len(row.name) for row in rows)
     print(f"{'suite':<{width}}  {'checks':>8}  {'failures':>8}  status")

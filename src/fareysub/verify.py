@@ -4,15 +4,22 @@ Each suite sweeps a parameter range, compares closed forms or map images
 with the brute-force enumeration, and returns one summary row per checked
 property.
 
+A suite is made of *parts*, each a contiguous run of its rows; `PARTS`
+lists the seven parts of the three suites of `fareysub verify`, costliest
+first.  `neighbor_suite`, `identity_suite`, `map_suite` and
+`run_cli_suite` return the concatenation of their parts' rows.
+`fareysub verify` hands each part to a worker process
+(`cli.cmd_verify`) and reassembles the rows in suite order, so its table
+is the same as a serial run's.
+
 The oracle runs its naive scan once per order: `enumerate_sequence` lists
 the Farey sequence F_n, and every spec of order n is that list filtered by
 `member`, which keeps it sorted.  A per-spec memo over the filtered lists
 sits on top, since the suites fetch the same sequences many times (a
 `verify --max-n 20` sweep fetches 1,244 specs 7,174 times).  Both caches
-are bounded, and they belong to the process: `fareysub verify` runs each of
-its suites in a worker process of its own (`run_cli_suite`), so there the
-scan runs once per order per worker.  The suites share nothing but these
-caches, and the printed table is the same as a serial run's.
+are bounded, and they belong to the process: under `fareysub verify` the
+scan runs once per order in each worker that needs it.  The parts share
+nothing but these caches.
 
 A row's failure text is formatted only when a check fails; passing checks
 cost no string work.
@@ -22,11 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import counting, maps, neighbors
-from .fraction import HALF, ONE, ZERO, DomainError, Fraction, adjacency_determinant
-from .fraction import mediant as reduced_mediant
+from .fraction import HALF, ONE, ZERO, DomainError, Fraction
 from .sequences import (
     SequenceKind,
     SequenceSpec,
@@ -98,16 +104,10 @@ def _main_sweep(kind: SequenceKind, max_n: int) -> Iterator[SequenceSpec]:
     return _sweep(kind, range(1, max_n + 1), -2, 2)
 
 
-def neighbor_suite(max_n: int = 20) -> list[SuiteRow]:
-    """Closed-form neighbors versus oracle scans, over all families."""
+def _gdiff_neighbor_rows(max_n: int) -> list[SuiteRow]:
     g_row = SuiteRow("neighbors/gdiff pred+succ")
     unit_row = SuiteRow("neighbors/gdiff unit fractions")
     pair_row = SuiteRow("neighbors/gdiff from consecutive pair")
-    f_row = SuiteRow("neighbors/fnum pred+succ")
-    anchor_row = SuiteRow("neighbors/bool special anchors")
-    bool_row = SuiteRow("neighbors/bool pred+succ")
-    ends_row = SuiteRow("neighbors/endpoint dispatch")
-
     for spec in _main_sweep(SequenceKind.GDIFF, max_n):
         n, m = spec.n, spec.m
         seq = cached_sequence(spec)
@@ -121,7 +121,11 @@ def neighbor_suite(max_n: int = 20) -> list[SuiteRow]:
             fwd = neighbors.g_next_from_pair(n, m, prev, x)
             bwd = neighbors.g_prev_from_pair(n, m, x, nxt)
             pair_row.count(fwd == nxt and bwd == prev, "n={} m={} around {}", n, m, x)
+    return [g_row, unit_row, pair_row]
 
+
+def _fnum_neighbor_rows(max_n: int) -> list[SuiteRow]:
+    f_row = SuiteRow("neighbors/fnum pred+succ")
     for spec in _main_sweep(SequenceKind.FNUM, max_n):
         n, m = spec.n, spec.m
         seq = cached_sequence(spec)
@@ -129,7 +133,12 @@ def neighbor_suite(max_n: int = 20) -> list[SuiteRow]:
             x = seq[i]
             got = (neighbors.f_predecessor(n, m, x), neighbors.f_successor(n, m, x))
             f_row.count(got == (seq[i - 1], seq[i + 1]), "n={} m={} x={} got {}", n, m, x, got)
+    return [f_row]
 
+
+def _bool_neighbor_rows(max_n: int) -> list[SuiteRow]:
+    anchor_row = SuiteRow("neighbors/bool special anchors")
+    bool_row = SuiteRow("neighbors/bool pred+succ")
     for spec in _main_sweep(SequenceKind.BOOLEAN, max_n):
         n, m = spec.n, spec.m
         seq = cached_sequence(spec)
@@ -148,8 +157,12 @@ def neighbor_suite(max_n: int = 20) -> list[SuiteRow]:
             x = seq[i]
             got = (neighbors.boolean_predecessor(n, m, x), neighbors.boolean_successor(n, m, x))
             bool_row.count(got == (seq[i - 1], seq[i + 1]), "n={} m={} x={} got {}", n, m, x, got)
+    return [anchor_row, bool_row]
 
+
+def _endpoint_rows(max_n: int) -> list[SuiteRow]:
     # Endpoint handling of the unified dispatcher, spot-swept at small sizes.
+    ends_row = SuiteRow("neighbors/endpoint dispatch")
     for kind in SequenceKind:
         for spec in _sweep(kind, range(1, min(max_n, 10) + 1), -1, 0):
             seq = cached_sequence(spec)
@@ -161,24 +174,33 @@ def neighbor_suite(max_n: int = 20) -> list[SuiteRow]:
                     (res.predecessor, res.successor) == (want_pred, want_succ),
                     "{} n={} m={} x={}", kind.value, spec.n, spec.m, x,
                 )
+    return [ends_row]
 
-    return [g_row, unit_row, pair_row, f_row, anchor_row, bool_row, ends_row]
+
+def neighbor_suite(max_n: int = 20) -> list[SuiteRow]:
+    """Closed-form neighbors versus oracle scans, over all families."""
+    return run_cli_suite("neighbors", max_n)
 
 
-def identity_suite(max_t: int = 300, enum_cross_max: int = 30, max_n: int = 20) -> list[SuiteRow]:
-    """Every closed form of each count versus the oracle, plus the summation identities."""
+def _identity_closed_form_rows(
+    max_n: int, max_t: int = 300, enum_cross_max: int | None = None
+) -> list[SuiteRow]:
+    """The summation identities and every closed form of each count.
+
+    enum_cross_max defaults to min(max_n, 30), the bound of `fareysub verify`.
+    """
     mertens_row = SuiteRow("identities/moebius floor sum equals 1")
     central_row = SuiteRow("identities/square-sum ties bool size to Farey size")
     cross_row = SuiteRow("identities/square-sum versus enumeration")
     g_card_row = SuiteRow("counting/gdiff cardinality vs oracle")
     f_card_row = SuiteRow("counting/fnum cardinality vs oracle")
     b_card_row = SuiteRow("counting/bool cardinality vs oracle")
-    rank_row = SuiteRow("counting/gdiff rank vs oracle")
-    rank_variant_row = SuiteRow("counting/gdiff rank moebius variant (reported)")
 
     for t in range(1, max_t + 1):
         mertens_row.count(counting.moebius_floor_sum(t) == 1, "t={}", t)
         central_row.count(counting.central_identity_check(t), "t={}", t)
+    if enum_cross_max is None:
+        enum_cross_max = min(max_n, 30)
     for t in range(1, enum_cross_max + 1):
         seq = cached_sequence(SequenceSpec(SequenceKind.BOOLEAN, 2 * t, t))
         cross_row.count(
@@ -198,7 +220,12 @@ def identity_suite(max_t: int = 300, enum_cross_max: int = 30, max_n: int = 20) 
             row.count(
                 set(got.values()) == {want}, "n={} m={} got {} want {}", spec.n, spec.m, got, want
             )
+    return [mertens_row, central_row, cross_row, g_card_row, f_card_row, b_card_row]
 
+
+def _gdiff_rank_rows(max_n: int) -> list[SuiteRow]:
+    rank_row = SuiteRow("counting/gdiff rank vs oracle")
+    rank_variant_row = SuiteRow("counting/gdiff rank moebius variant (reported)")
     for spec in _sweep(SequenceKind.GDIFF, range(2, min(max_n, 30) + 1), 0, 0):
         n, m = spec.n, spec.m
         seq = cached_sequence(spec)
@@ -210,17 +237,12 @@ def identity_suite(max_t: int = 300, enum_cross_max: int = 30, max_n: int = 20) 
             rank_variant_row.count(
                 variants["moebius-sum"] == i, "n={} m={} x={} got {}", n, m, x, variants
             )
+    return [rank_row, rank_variant_row]
 
-    return [
-        mertens_row,
-        central_row,
-        cross_row,
-        g_card_row,
-        f_card_row,
-        b_card_row,
-        rank_row,
-        rank_variant_row,
-    ]
+
+def identity_suite(max_t: int = 300, enum_cross_max: int = 30, max_n: int = 20) -> list[SuiteRow]:
+    """Every closed form of each count versus the oracle, plus the summation identities."""
+    return _identity_closed_form_rows(max_n, max_t, enum_cross_max) + _gdiff_rank_rows(max_n)
 
 
 def map_suite(max_n: int = 20) -> list[SuiteRow]:
@@ -244,20 +266,42 @@ def map_suite(max_n: int = 20) -> list[SuiteRow]:
     return rows
 
 
-# The suites of `fareysub verify`, costliest first: a pool given them in this
-# order starts the longest one at once.
+class Part(NamedTuple):
+    """A contiguous run of one suite's rows, as `fareysub verify --max-n` runs it."""
+
+    suite: str
+    slot: int  # the place of its rows among the parts of its suite
+    rows: Callable[[int], list[SuiteRow]]  # max_n -> rows; module-level, so it pickles
+
+
+# Every part of `fareysub verify`, costliest first (process CPU with cold
+# caches at --max-n 20, 2-CPU host): a pool handed them in this order starts
+# the longest at once.
+PARTS = (
+    Part("identities", 1, _gdiff_rank_rows),  # 0.229 s
+    Part("neighbors", 0, _gdiff_neighbor_rows),  # 0.174 s
+    Part("maps", 0, map_suite),  # 0.158 s
+    Part("neighbors", 1, _fnum_neighbor_rows),  # 0.114 s
+    Part("identities", 0, _identity_closed_form_rows),  # 0.093 s
+    Part("neighbors", 2, _bool_neighbor_rows),  # 0.059 s
+    Part("neighbors", 3, _endpoint_rows),  # 0.024 s
+)
+
+# The suites of `fareysub verify`, by the names its selectors use.
 CLI_SUITES = ("identities", "neighbors", "maps")
 
 
+def suite_parts(name: str) -> list[Part]:
+    """The parts of one suite of `fareysub verify`, in the order of its rows."""
+    parts = sorted((part for part in PARTS if part.suite == name), key=lambda part: part.slot)
+    if not parts:
+        raise ValueError(f"unknown verify suite {name!r}")
+    return parts
+
+
 def run_cli_suite(name: str, max_n: int) -> list[SuiteRow]:
-    """One suite of `fareysub verify`, by name; what each of its worker processes runs."""
-    if name == "identities":
-        return identity_suite(max_n=max_n, enum_cross_max=min(max_n, 30))
-    if name == "neighbors":
-        return neighbor_suite(max_n)
-    if name == "maps":
-        return map_suite(max_n)
-    raise ValueError(f"unknown verify suite {name!r}")
+    """One suite of `fareysub verify`, by name: the rows of its parts, in order."""
+    return [row for part in suite_parts(name) for row in part.rows(max_n)]
 
 
 def structure_suite(max_n: int = 20) -> list[SuiteRow]:
@@ -275,12 +319,19 @@ def structure_suite(max_n: int = 20) -> list[SuiteRow]:
 
     def check_sequence(spec: SequenceSpec) -> None:
         seq = cached_sequence(spec)
+        # The three checks run on (num, den) ints, denominators positive.
+        hs = [x.num for x in seq]
+        ks = [x.den for x in seq]
         ok_order = all(
-            a < b and adjacency_determinant(a, b) == 1 for a, b in zip(seq, seq[1:])
+            h * k2 < h2 * k and k * h2 - h * k2 == 1
+            for h, k, h2, k2 in zip(hs, ks, hs[1:], ks[1:])
         )
         order_row.count(ok_order, "{}", spec)
+        # The mediant of the outer two reduces to the reduced middle term
+        # exactly when the two are equal as rationals.
         ok_mediant = all(
-            reduced_mediant(seq[i - 1], seq[i + 1]) == seq[i] for i in range(1, len(seq) - 1)
+            (h0 + h2) * k1 == (k0 + k2) * h1
+            for h0, k0, h1, k1, h2, k2 in zip(hs, ks, hs[1:], ks[1:], hs[2:], ks[2:])
         )
         mediant_row.count(ok_mediant, "{}", spec)
         first, last = seq[0], seq[-1]

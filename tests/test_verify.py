@@ -17,8 +17,8 @@ def test_oracle_cache_is_bounded():
 
 
 def _run_cli_suites_in_one_process(max_n):
-    """Every `verify` suite in this process, in the order a one-worker pool runs them."""
-    rows = [row for name in verify.CLI_SUITES for row in verify.run_cli_suite(name, max_n)]
+    """Every `verify` part in this process, in the order a one-worker pool runs them."""
+    rows = [row for part in verify.PARTS for row in part.rows(max_n)]
     return all(row.ok for row in rows)
 
 

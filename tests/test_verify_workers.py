@@ -1,5 +1,6 @@
-"""`fareysub verify` runs its suites in worker processes; its output must not show it."""
+"""`fareysub verify` runs the parts of its suites in worker processes; its output must not show it."""
 
+import concurrent.futures
 import itertools
 import multiprocessing
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from fareysub import counting, verify
+from fareysub import Fraction, cli, counting, neighbors, verify
 from fareysub.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -102,7 +103,10 @@ def test_verify_leaves_no_worker_running(capsys):
 
 
 def test_importing_the_cli_loads_no_pool_modules():
-    script = "import sys, fareysub.cli\nprint([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    script = (
+        "import sys, fareysub.cli\n"
+        "print([m for m in ('concurrent.futures', 'multiprocessing', 'fareysub.verify') if m in sys.modules])"
+    )
     result = _python("-c", script)
     assert (result.returncode, result.stdout) == (0, "[]\n")
 
@@ -129,3 +133,75 @@ def test_a_wrong_cardinality_variant_fails_verify_cleanly(capsys, monkeypatch):
     assert code == 3
     assert "counting/fnum cardinality vs oracle" in out and "FAIL (n=7 m=1 got " in out
     assert re.fullmatch(r"9 of \d+ checks failed\n", err)
+
+
+def _rows_of_parts(name, max_n):
+    return [row for part in verify.suite_parts(name) for row in part.rows(max_n)]
+
+
+@pytest.mark.parametrize("max_n", [0, 1, 6, 20])
+def test_each_suite_is_the_concatenation_of_its_parts(max_n):
+    # SuiteRow equality compares name, checks, failures and first failure.
+    assert _rows_of_parts("neighbors", max_n) == verify.neighbor_suite(max_n)
+    assert _rows_of_parts("identities", max_n) == verify.identity_suite(
+        max_n=max_n, enum_cross_max=min(max_n, 30)
+    )
+    assert _rows_of_parts("maps", max_n) == verify.map_suite(max_n)
+    for name in verify.CLI_SUITES:
+        assert _rows_of_parts(name, max_n) == verify.run_cli_suite(name, max_n)
+
+
+def test_every_part_appears_once_and_covers_every_suite():
+    assert len(set(verify.PARTS)) == len(verify.PARTS)
+    assert {part.suite for part in verify.PARTS} == set(verify.CLI_SUITES)
+    for name in verify.CLI_SUITES:
+        assert [part.slot for part in verify.suite_parts(name)] == list(
+            range(sum(part.suite == name for part in verify.PARTS))
+        )
+    # No row is split between two parts or made by two.
+    names = [row.name for part in verify.PARTS for row in part.rows(4)]
+    assert len(names) == len(set(names))
+    with pytest.raises(ValueError):
+        verify.suite_parts("structure")
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize(
+    "flags, parts", [([], 7), (["--all-maps"], 1), (["--identities", "--neighbors"], 6)]
+)
+def test_verify_output_does_not_depend_on_the_worker_count(capsys, monkeypatch, cpus, flags, parts):
+    workers = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    got = _run(capsys, ["verify", *flags, "--max-n", "6"])
+    assert got == _verify_reference(flags, 6)
+    assert workers == [min(parts, cpus)]
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched formula reaches the workers only when they are forked",
+)
+def test_a_check_failing_in_a_later_part_fails_the_call(capsys, monkeypatch):
+    # Wrong at one anchor of one order only: the bool part runs after four others.
+    plain = neighbors.boolean_special_neighbors
+
+    def wrong_at_7_3(n, m, anchor):
+        pred, succ = plain(n, m, anchor)
+        return (succ, pred) if (n, m, anchor) == (7, 3, Fraction(1, 3)) else (pred, succ)
+
+    monkeypatch.setattr(neighbors, "boolean_special_neighbors", wrong_at_7_3)
+    code, out, err = _run(capsys, ["verify", "--max-n", "8"])
+    assert (code, out, err) == _verify_reference([], 8)
+    failing = [line for line in out.splitlines() if "FAIL" in line]
+    assert len(failing) == 1
+    assert failing[0].startswith("neighbors/bool special anchors ")
+    assert " 1  FAIL (n=7 m=3 anchor 1/3 got " in failing[0]
+    assert code == 3
+    assert re.fullmatch(r"1 of \d+ checks failed\n", err)
