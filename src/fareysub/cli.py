@@ -2,7 +2,8 @@
 
 Subcommands: gen, neighbors, card, rank, map, verify.  Exit codes are a
 stable contract: 0 success, 1 usage error, 2 domain error (parameters or
-fractions outside a sequence), 3 verification failure.  Results go to
+fractions outside a sequence, an order too large to count or to fit in
+memory), 3 verification failure.  Results go to
 standard output, diagnostics to standard error.
 """
 
@@ -158,6 +159,8 @@ def _usable_cpus() -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.max_n < 0:
+        raise UsageError(f"--max-n must be >= 0, got {args.max_n}")
     selected = []
     if args.all_maps:
         selected.append("maps")
@@ -282,6 +285,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except DomainError as err:
         print(f"fareysub: domain error: {err}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except MemoryError:
+        # A table or sequence too large for this host is a parameter that
+        # lies outside what it can compute, not a fault of the program.
+        print("fareysub: domain error: out of memory; the order is too large", file=sys.stderr)
         return EXIT_DOMAIN
 
 

@@ -55,11 +55,23 @@ def moebius(d: int) -> int:
     return result
 
 
+# _divisor_table holds C ints, so its order is below 2**31; a Moebius table
+# of that order would take 16 GB.  Counting rejects such orders up front.
+_MAX_ORDER = 2**31
+
+
+def _require_countable(n: int) -> None:
+    """Reject an order at or above 2**31 before any table is allocated."""
+    if n >= _MAX_ORDER:
+        raise DomainError(f"counting requires an order below 2**31, got n={n}")
+
+
 # One call reads at most three orders (bool's two halves and their shared
 # bound).  A table of order n takes 8n bytes: 32 MB for four at n = 10**6.
 @lru_cache(maxsize=4)
 def _mu_upto(limit: int) -> tuple[int, ...]:
     """Sieved Moebius values; index d holds mu(d), index 0 is unused."""
+    _require_countable(limit)
     mu = [1] * (limit + 1)
     mu[0] = 0
     is_composite = bytearray(limit + 1)
@@ -114,6 +126,7 @@ def _divisor_table(n: int) -> tuple[memoryview, memoryview]:
     the two pieces of a bool family, so two entries suffice.  The views
     are read-only because every caller gets the same arrays.
     """
+    _require_countable(n)
     spf = array("i", range(n + 1))
     for d in range(isqrt(n), 1, -1):
         spf[d * d :: d] = array("i", [d]) * len(range(d * d, n + 1, d))
@@ -183,11 +196,14 @@ def _size(pieces: tuple[_Piece, ...]) -> int:
 
 def cardinality(spec: SequenceSpec) -> int:
     """Size of a family of any of the six kinds, by one Moebius sum per piece."""
+    # bool's pieces are smaller than n, so their tables would not catch it.
+    _require_countable(spec.n)
     return _size(_pieces(spec))
 
 
 def cardinality_variants(spec: SequenceSpec) -> tuple[str, dict[str, int]]:
     """The reported formula's name and every closed form of the family size."""
+    _require_countable(spec.n)  # as in cardinality
     if spec.kind is _GDIFF:
         return "phi-sum", g_cardinality_variants(spec.n, spec.m)
     if spec.kind is _BOOL:
@@ -258,6 +274,7 @@ def rank(spec: SequenceSpec, x: Fraction) -> int:
     the bool family adds the first half, which shares 1/2 with the second.
     """
     _require_member(spec, x)
+    _require_countable(spec.n)  # as in cardinality
     pieces = _pieces(spec)
     n, m, M, reverses = piece = _piece(pieces, x.num, x.den, -1)
     index = g_rank(n, m, M.inverse().apply(x))

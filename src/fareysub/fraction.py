@@ -41,6 +41,14 @@ class Fraction:
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
 
+    # Written by hand with the semantics of the generated __eq__, which
+    # builds a tuple of the fields of each side on every call.  dataclass
+    # still generates __hash__, from the same fields.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.num == other.num and self.den == other.den  # type: ignore[attr-defined]
+        return NotImplemented
+
     # Total order by cross multiplication; denominators are positive.
     def __lt__(self, other: "Fraction") -> bool:
         return self.num * other.den < other.num * self.den

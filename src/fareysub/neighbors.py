@@ -16,17 +16,20 @@ k*p - h*q = +-1, which proves it reduced, and the maps keep it so.
 Two consecutive terms fix the next one, so sequence_neighbors solves the
 congruence once when both neighbors of x lie in one piece, which is
 everywhere except at the ends and at 1/2 in bool.  It solves for the gdiff
-neighbor before x in that piece and takes the one after from one step of
-the generation walk, _g_walk, which certifies the step as in generation:
-the new term is a member and its mediant with x is not.
+neighbor before x in that piece and takes the one after from one gdiff
+step, sequences._g_step, which certifies it as generation does: the new
+term is a member and its mediant with x is not.  The step is written
+twice, as _g_step for these queries and inside the generator
+sequences._g_walk for generation, each the faster form for its caller
+(see the sequences module); the tests pin the two to each other.
 
 g_next_from_pair and g_prev_from_pair guard their input with the O(1)
 adjacency certificate, computed on the ints: a < b are consecutive iff both
 are members, det(a, b) = 1 and their mediant is not a member.  Every
 fraction strictly between such a and b is i*a + j*b (on numerators and
 denominators) with i, j >= 1, and every membership bound is monotone in
-them, so the mediant is the first candidate.  The third term is one step of
-_g_walk, driven by next; the recurrence is written only there.
+them, so the mediant is the first candidate.  The third term is one call
+of _g_step.
 
 All functions are pure; DomainError marks queries outside a sequence.
 """
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 
 from .fraction import HALF, IDENTITY_MAP, DomainError, Fraction, UnimodularMap
 from .fraction import _reduced, make_fraction
-from .sequences import SequenceKind, SequenceSpec, _g_walk, _require_member
+from .sequences import SequenceKind, SequenceSpec, _g_step, _require_member
 from .sequences import _BOOL, _FNUM, _GDIFF, _LEFT, _RIGHT, _Piece, _piece, _pieces
 
 
@@ -108,18 +111,6 @@ def _g_neighbor(n: int, m: int, h: int, k: int, sign: int) -> tuple[int, int]:
     return _g_pair(n, m, h, k, sign)
 
 
-def _g_beyond(n: int, m: int, ah: int, ak: int, bh: int, bk: int) -> tuple[int, int] | None:
-    """The term of gdiff(n, m) beyond b, from the consecutive a, b; None if b is an end.
-
-    One step of _g_walk, which certifies it: det(a, b) = +-1 on entry, and
-    the new term is a member while its mediant with b is not.
-    """
-    walk = _g_walk(n, m, ah, ak, bh, bk)
-    next(walk)
-    next(walk)
-    return next(walk, None)
-
-
 def _carried_back(M: UnimodularMap, h: int, k: int) -> tuple[int, int]:
     """h/k carried back by M^-1, which is det(M) times the adjugate of M."""
     a, b, c, d = M.a, M.b, M.c, M.d
@@ -152,10 +143,10 @@ def _neighbor_pairs(piece: _Piece, h: int, k: int) -> tuple[tuple[int, int], tup
     n, m, M, reverses = piece
     if M is IDENTITY_MAP:
         p, q = _g_pair(n, m, h, k, -1)
-        return (p, q), _g_beyond(n, m, p, q, h, k)
+        return (p, q), _g_step(n, m, p, q, h, k)
     u, v = _carried_back(M, h, k)
     p, q = _g_pair(n, m, u, v, -1)
-    r, s = _g_beyond(n, m, p, q, u, v)
+    r, s = _g_step(n, m, p, q, u, v)
     a, b, c, d = M.a, M.b, M.c, M.d
     before, after = (a * p + b * q, c * p + d * q), (a * r + b * s, c * r + d * s)
     return (after, before) if reverses else (before, after)
@@ -211,7 +202,7 @@ def _require_g_consecutive(n: int, m: int, a: Fraction, b: Fraction) -> None:
 def g_next_from_pair(n: int, m: int, prev: Fraction, cur: Fraction) -> Fraction:
     """Third member of a consecutive gdiff triple, given the first two."""
     _require_g_consecutive(n, m, prev, cur)
-    term = _g_beyond(n, m, prev.num, prev.den, cur.num, cur.den)
+    term = _g_step(n, m, prev.num, prev.den, cur.num, cur.den)
     if term is None:
         raise DomainError(f"{cur} is the last element; no next term after ({prev}, {cur})")
     return _reduced(*term)
@@ -220,7 +211,7 @@ def g_next_from_pair(n: int, m: int, prev: Fraction, cur: Fraction) -> Fraction:
 def g_prev_from_pair(n: int, m: int, cur: Fraction, nxt: Fraction) -> Fraction:
     """First member of a consecutive gdiff triple, given the last two."""
     _require_g_consecutive(n, m, cur, nxt)
-    term = _g_beyond(n, m, nxt.num, nxt.den, cur.num, cur.den)
+    term = _g_step(n, m, nxt.num, nxt.den, cur.num, cur.den)
     if term is None:
         raise DomainError(f"{cur} is the first element; no term before ({cur}, {nxt})")
     return _reduced(*term)

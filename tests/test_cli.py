@@ -251,6 +251,42 @@ def test_rank_domain_errors(capsys):
     assert code == 2
 
 
+def _only_refused(table):
+    def call(order):
+        if order < 2**31:
+            raise AssertionError(f"a counting table of order {order} was requested")
+        return table(order)
+
+    return call
+
+
+@pytest.mark.parametrize("n", [2**31, 10**20])
+@pytest.mark.parametrize("command", ["card", "rank"])
+@pytest.mark.parametrize("kind", list(SequenceKind))
+def test_orders_beyond_counting_are_domain_errors(capsys, monkeypatch, n, command, kind):
+    # Counting tables hold C ints; the order is refused before any is built.
+    # A table below the bound would take gigabytes here, so asking for one
+    # fails the test instead of allocating it.
+    for name in ("_mu_upto", "_divisor_table"):
+        monkeypatch.setattr(counting, name, _only_refused(getattr(counting, name)))
+    m = [] if kind is SequenceKind.FULL else ["-m", str(n // 2)]
+    argv = [command, "--kind", kind.value, "-n", str(n), *m] + (["1/2"] if command == "rank" else [])
+    for fmt in ("plain", "json"):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, out) == (2, ""), argv
+        assert err.count("\n") == 1 and "below 2**31" in err
+
+
+def test_out_of_memory_is_a_domain_error(capsys, monkeypatch):
+    def no_memory(limit):
+        raise MemoryError
+
+    monkeypatch.setattr(counting, "_mu_upto", no_memory)
+    code, out, err = run(capsys, "card", "--kind", "full", "-n", "1000")
+    assert (code, out) == (2, "")
+    assert err.startswith("fareysub: domain error:") and err.count("\n") == 1
+
+
 def test_map_examples(capsys):
     code, out, _ = run(capsys, "map", "--name", "thm_f_to_left", "-n", "6", "-m", "4", "1/2")
     assert code == 0 and out == "1/3\n"
@@ -287,6 +323,12 @@ def test_verify_selected_suites(capsys):
     assert code == 0
     assert "maps/" not in out
     assert "identities/" in out and "neighbors/" in out
+
+
+def test_verify_rejects_a_negative_bound(capsys):
+    for bound in ("-1", "-5"):
+        code, out, err = run(capsys, "verify", "--max-n", bound)
+        assert (code, out) == (1, "") and "--max-n" in err
 
 
 def test_help_exits_zero(capsys):

@@ -160,3 +160,15 @@ def test_trusted_construction_is_indistinguishable(h, k):
     assert not trusted < checked and not trusted > checked
     with pytest.raises(dataclasses.FrozenInstanceError):
         trusted.num = 2
+
+
+def test_equality_is_by_class_and_fields():
+    half = Fraction(1, 2)
+    assert half == _reduced(1, 2) and not half != _reduced(1, 2)
+    assert half != Fraction(1, 3) and half != Fraction(2, 3)
+    assert half != (1, 2) and not half == (1, 2) and half != "1/2"
+    assert half.__eq__((1, 2)) is NotImplemented
+    assert {half, _reduced(1, 2), Fraction(1, 3)} == {Fraction(1, 3), Fraction(1, 2)}
+    table = {Fraction(1, 2): "half", Fraction(0, 1): "zero"}
+    assert table[_reduced(1, 2)] == "half" and table.get((1, 2)) is None
+    assert hash(half) == hash(_reduced(1, 2))

@@ -1,6 +1,7 @@
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
 
 from fareysub import (
     IDENTITY_MAP,
@@ -19,8 +20,8 @@ from fareysub import (
     parse_fraction,
     sequence_neighbors,
 )
-from fareysub.sequences import _g_down, _g_up, _g_walk, _pieces, _term_pairs
-from strategies import valid_ms
+from fareysub.sequences import _g_down, _g_step, _g_up, _g_walk, _pieces, _term_pairs
+from strategies import family_members, valid_ms
 
 K = SequenceKind
 
@@ -264,10 +265,11 @@ def test_iterate_f_streams_its_first_terms_at_once(m):
 
 
 def test_kernel_rejects_a_non_adjacent_pair():
-    with pytest.raises(RuntimeError):
-        next(_g_walk(6, 0, 0, 1, 2, 5))  # det(0/1, 2/5) = 2
-    with pytest.raises(RuntimeError):
-        next(_g_walk(6, 0, 1, 3, 2, 3))  # det(1/3, 2/3) = 3
+    for seed in ((0, 1, 2, 5), (1, 3, 2, 3)):  # det 2 and det 3
+        with pytest.raises(RuntimeError, match="not adjacent"):
+            next(_g_walk(6, 0, *seed))
+        with pytest.raises(RuntimeError, match="not adjacent"):
+            _g_step(6, 0, *seed)
 
 
 def test_kernel_walk_stops_at_the_endpoints():
@@ -275,6 +277,41 @@ def test_kernel_walk_stops_at_the_endpoints():
     assert list(_g_walk(6, 4, 5, 6, 1, 1)) == [(5, 6), (1, 1)]
     assert list(_g_walk(6, 4, 1, 2, 1, 3)) == [(1, 2), (1, 3), (0, 1)]
     assert list(_g_walk(6, 4, 1, 3, 0, 1)) == [(1, 3), (0, 1)]
+    assert _g_step(6, 4, 4, 5, 5, 6) == (1, 1) and _g_step(6, 4, 5, 6, 1, 1) is None
+    assert _g_step(6, 4, 1, 2, 1, 3) == (0, 1) and _g_step(6, 4, 1, 3, 0, 1) is None
+
+
+def _walk_step(n, m, a, b):
+    """The term _g_walk yields after a and b, or None if it stops there."""
+    return next(islice(_g_walk(n, m, *a, *b), 2, None), None)
+
+
+def test_step_equals_the_walk_on_every_consecutive_pair():
+    # The step is written twice, in _g_step and inside _g_walk; every pair
+    # of every small gdiff family, taken both ways, pins them together.
+    for n in range(1, 40):
+        for m in range(-2, n):
+            terms = [(f.num, f.den) for f in generate_sequence(SequenceSpec(K.GDIFF, n, m))]
+            for seq in (terms, terms[::-1]):
+                for i in range(1, len(seq)):
+                    a, b = seq[i - 1], seq[i]
+                    step = _g_step(n, m, *a, *b)
+                    assert step == _walk_step(n, m, a, b), (n, m, a, b)
+                    assert step == (seq[i + 1] if i + 1 < len(seq) else None), (n, m, a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(family_members(10**9, kinds=[K.GDIFF]))
+def test_step_equals_the_walk_up_to_n_1e9(case):
+    spec, x = case
+    n, m, b = spec.n, spec.m, (x.num, x.den)
+    res = sequence_neighbors(spec, x)
+    for a, c in ((res.predecessor, res.successor), (res.successor, res.predecessor)):
+        if a is None:
+            continue
+        step = _g_step(n, m, a.num, a.den, *b)
+        assert step == _walk_step(n, m, (a.num, a.den), b)
+        assert step == (None if c is None else (c.num, c.den))
 
 
 def test_pieces_carry_gdiff_families_onto_every_family(oracle):
