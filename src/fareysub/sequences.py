@@ -15,7 +15,17 @@ denominator, filters by gcd and the membership predicate, and sorts.  The
 generators below produce the same sequences through one closed-form
 recurrence and are the ones to use at scale; the oracle is the trust anchor
 they are tested against.  They run on plain int pairs, one gdiff step at a
-time, and build each Fraction once at the end, without a gcd.
+time, and build each Fraction once at the end, without a gcd, in _terms.
+
+The terms of one call share their int objects: up to order
+_SHARED_INTS_MAX_ORDER, _terms takes each numerator and denominator from
+one table range(n + 1) built for the call, so an int above 256, which
+CPython would otherwise make afresh for every term, exists once.  A kept
+term then costs 56-57 bytes by tracemalloc at n = 700 (a 48-byte Fraction
+and its list slot) against 82-99 bytes with private ints.  Above the bound
+no table is built, so a stream such as next(iterate_f(10**9, m)) stays O(1)
+in time and memory; a full family that large could not be materialised
+anyway.
 
 The gdiff step is written twice, on purpose: inside the generator _g_walk,
 which generation runs once per term, and as the plain function _g_step,
@@ -42,6 +52,14 @@ from .fraction import IDENTITY_MAP, MIRROR_MAP, DomainError, Fraction, Unimodula
 
 #: Default guard for the quadratic enumeration oracle.
 MAX_ENUM_ORDER = 10_000
+
+# Largest order for which _terms shares one table of ints among the terms
+# of a call.  The table costs about 40 bytes per entry, 2.6 MB here.  The
+# full family of this order already has about 1.3 * 10**9 terms, so above
+# it only sparse families (fnum with small m, gdiff with m near n) fit in
+# memory, and they keep private ints; what the bound protects is a stream
+# such as iterate_f(10**9, m), which must not pay O(n) before its first term.
+_SHARED_INTS_MAX_ORDER = 2**16
 
 
 class SequenceKind(str, Enum):
@@ -293,14 +311,32 @@ def _term_pairs(spec: SequenceSpec) -> Iterator[tuple[int, int]]:
     return chain(*walks)
 
 
+def _terms(spec: SequenceSpec) -> Iterator[Fraction]:
+    """The terms of spec, ascending, as Fractions; the one place they are built.
+
+    Every term h/k has 0 <= h <= k <= spec.n, so up to
+    _SHARED_INTS_MAX_ORDER the pair indexes a table range(n + 1) built once
+    for the call and the terms share its ints.  Above it the pair's own
+    ints are kept and no table is built.
+    """
+    pairs = _term_pairs(spec)
+    if spec.n > _SHARED_INTS_MAX_ORDER:
+        return (_reduced(h, k) for h, k in pairs)
+    ints = tuple(range(spec.n + 1))
+    return (_reduced(ints[h], ints[k]) for h, k in pairs)
+
+
 def iterate_g(n: int, m: int) -> Iterator[Fraction]:
     """Yield the gdiff family (k - h <= n - m) ascending from 0/1 to 1/1.
 
     Seeded with 0/1 and 1/min(n-m+1, n), then advanced by the floor-min
     next-term recurrence on consecutive pairs.  m may be negative; the
     difference bound is then slack and the output equals the full family.
+    The terms share their int objects up to order _SHARED_INTS_MAX_ORDER,
+    and above it the first term comes out at once (see the module
+    docstring).
     """
-    return (_reduced(h, k) for h, k in _term_pairs(SequenceSpec(_GDIFF, n, m)))
+    return _terms(SequenceSpec(_GDIFF, n, m))
 
 
 def iterate_f(n: int, m: int) -> Iterator[Fraction]:
@@ -308,9 +344,10 @@ def iterate_f(n: int, m: int) -> Iterator[Fraction]:
 
     Walks the gdiff family with complemented parameter n - m down from 1/1
     and reflects every term through h/k -> (k-h)/k, so the first term comes
-    out at once.
+    out at once.  The terms share their int objects up to order
+    _SHARED_INTS_MAX_ORDER, as in iterate_g.
     """
-    return (_reduced(h, k) for h, k in _term_pairs(SequenceSpec(_FNUM, n, m)))
+    return _terms(SequenceSpec(_FNUM, n, m))
 
 
 def generate_boolean(n: int, m: int) -> list[Fraction]:
@@ -319,5 +356,11 @@ def generate_boolean(n: int, m: int) -> list[Fraction]:
 
 
 def generate_sequence(spec: SequenceSpec) -> list[Fraction]:
-    """Recurrence-based counterpart of enumerate_sequence for any spec."""
-    return [_reduced(h, k) for h, k in _term_pairs(spec)]
+    """Recurrence-based counterpart of enumerate_sequence for any spec.
+
+    Up to order _SHARED_INTS_MAX_ORDER the terms share their int objects,
+    so each kept term costs a Fraction and a list slot, 56-57 bytes at
+    n = 700 against 82-99 with an int pair of its own (see the module
+    docstring).
+    """
+    return list(_terms(spec))

@@ -1,4 +1,5 @@
 from itertools import islice
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from fareysub import (
     parse_fraction,
     sequence_neighbors,
 )
-from fareysub.sequences import _g_down, _g_step, _g_up, _g_walk, _pieces, _term_pairs
+from fareysub.sequences import _SHARED_INTS_MAX_ORDER, _g_down, _g_step, _g_up, _g_walk, _pieces, _term_pairs
 from strategies import family_members, valid_ms
 
 K = SequenceKind
@@ -262,6 +263,46 @@ def test_iterate_f_streams_its_first_terms_at_once(m):
     terms = iterate_f(10**9, m)
     assert next(terms) == Fraction(0, 1)
     assert [(f.num, f.den) for f in islice(terms, 3)] == _neighbor_chain(spec, Fraction(0, 1), 4, +1)[1:]
+
+
+def _traced(make):
+    """make(), with the bytes it left allocated and its peak, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        made = make()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return made, kept - base, peak - base
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda kind=kind: generate_sequence(SequenceSpec(kind, 700, 350)) for kind in K]
+    + [lambda: list(iterate_g(700, 600)), lambda: list(iterate_f(700, 100))],
+    ids=[kind.value for kind in K] + ["iterate_g", "iterate_f"],
+)
+def test_the_terms_of_one_call_share_their_ints(make):
+    # A term with ints of its own keeps 78-99 bytes; one that shares them
+    # keeps its 48-byte Fraction and an 8-byte list slot.  tracemalloc
+    # slows generation about 14-fold, so the two iterators are checked on
+    # families of 40k terms, not on the 112k of m = 350.
+    terms, kept, _ = _traced(make)
+    assert kept / len(terms) <= 64
+    for field in ("num", "den"):
+        values = [getattr(f, field) for f in terms]
+        assert len({id(v) for v in values}) == len(set(values)), field
+
+
+def test_streams_above_the_shared_int_bound_build_no_table():
+    for make in (lambda: next(iterate_g(10**9, 5)), lambda: next(iterate_f(10**9, 7))):
+        assert _traced(make)[2] < 64 * 1024
+    bound = _SHARED_INTS_MAX_ORDER
+    assert _traced(lambda: next(iterate_g(bound + 1, 5)))[2] < 64 * 1024
+    # At the bound the table of bound + 1 ints is built: about 2.6 MB.
+    assert _traced(lambda: next(iterate_g(bound, 5)))[2] < 3 * 2**20
 
 
 def test_kernel_rejects_a_non_adjacent_pair():
