@@ -137,7 +137,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
 def cmd_map(args: argparse.Namespace) -> int:
     x = _parse_fraction_arg(args.fraction)
     entry = maps.get_map(args.name)
-    if args.m is None and entry.id != "mirror_full":
+    if args.m is None and not entry.ignores_m:
         raise UsageError(f"map {entry.id!r} requires -m")
     image = maps.apply_named(args.name, args.n, 0 if args.m is None else args.m, x)
     if args.format == "json":
@@ -211,11 +211,10 @@ def _parse_fraction_arg(text: str) -> Fraction:
         raise UsageError(str(err)) from err
 
 
-def _add_common(parser: argparse.ArgumentParser, with_m: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kind", required=True, choices=_KINDS, help="sequence family")
     parser.add_argument("-n", type=int, required=True, help="order of the ambient Farey sequence")
-    if with_m:
-        parser.add_argument("-m", type=int, default=None, help="family parameter (see --kind)")
+    parser.add_argument("-m", type=int, default=None, help="family parameter (see --kind)")
 
 
 def build_parser() -> argparse.ArgumentParser:

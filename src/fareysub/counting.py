@@ -20,12 +20,13 @@ from array import array
 from functools import lru_cache
 from math import isqrt
 
-from .fraction import DomainError, Fraction
+from .fraction import DomainError, Fraction, _reduced
 from .sequences import (
     _BOOL,
     _FULL,
     _GDIFF,
     SequenceSpec,
+    _carried_back,
     _Piece,
     _piece,
     _pieces,
@@ -191,7 +192,7 @@ def _size(pieces: tuple[_Piece, ...]) -> int:
     A piece gdiff(n', m') has |fnum(n', n' - m')| members, by the mirror;
     the two pieces of bool share 1/2.
     """
-    return sum(f_cardinality(n, n - m) for n, m, _, _ in pieces) + 1 - len(pieces)
+    return sum(f_cardinality(n, n - m) for n, m, _ in pieces) + 1 - len(pieces)
 
 
 def cardinality(spec: SequenceSpec) -> int:
@@ -209,7 +210,7 @@ def cardinality_variants(spec: SequenceSpec) -> tuple[str, dict[str, int]]:
     if spec.kind is _BOOL:
         return "half-sum", boolean_cardinality_variants(spec.n, spec.m)
     # One piece, gdiff(n', m'): as large as fnum(n', n' - m'), its mirror image.
-    ((n, m, _, _),) = _pieces(spec)
+    ((n, m, _),) = _pieces(spec)
     return "moebius-sum", f_cardinality_variants(n, n - m)
 
 
@@ -225,14 +226,10 @@ def g_cardinality(n: int, m: int) -> int:
     return cardinality(SequenceSpec(_GDIFF, n, m))
 
 
-def _require_g_rankable(n: int, m: int, x: Fraction) -> None:
-    if not member(SequenceSpec(_GDIFF, n, m), x):
-        raise DomainError(f"{x} has no rank in the gdiff family n={n}, m={m}")
-
-
 def g_rank(n: int, m: int, x: Fraction) -> int:
     """Zero-based index of x in the gdiff family, by the coprime-count sum."""
-    _require_g_rankable(n, m, x)
+    if not member(SequenceSpec(_GDIFF, n, m), x):
+        raise DomainError(f"{x} has no rank in the gdiff family n={n}, m={m}")
     m = max(m, 0)
     return _coprime_sum(n, n - m, x.num, x.den)
 
@@ -270,15 +267,15 @@ def rank(spec: SequenceSpec, x: Fraction) -> int:
     """Zero-based index of x in any of the six families, without enumeration.
 
     x is carried back into its piece of `sequences._pieces` and ranked there
-    by g_rank, from the top if the piece's map reverses the order; past 1/2
+    by g_rank, from the top if the piece's map M has det M = -1; past 1/2
     the bool family adds the first half, which shares 1/2 with the second.
     """
     _require_member(spec, x)
     _require_countable(spec.n)  # as in cardinality
     pieces = _pieces(spec)
-    n, m, M, reverses = piece = _piece(pieces, x.num, x.den, -1)
-    index = g_rank(n, m, M.inverse().apply(x))
-    if reverses:
+    n, m, M = piece = _piece(pieces, x.num, x.den, -1)
+    index = g_rank(n, m, _reduced(*_carried_back(M, x.num, x.den)))
+    if M.det < 0:
         index = _size((piece,)) - 1 - index
     if piece is not pieces[0]:
         index += _size(pieces[:1]) - 1

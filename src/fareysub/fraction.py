@@ -71,11 +71,12 @@ _set_den = Fraction.__dict__["den"].__set__
 def _reduced(h: int, k: int) -> Fraction:
     """Fraction h/k built without __init__'s checks or its gcd.
 
-    Only for callers that have proved 0 <= h <= k, k > 0 and gcd(h, k) = 1;
-    the generation kernel in sequences.py, the neighbor steps in
-    neighbors.py and UnimodularMap.apply prove it by determinant and range
-    checks.  The slot descriptors write the fields directly, so the result
-    is indistinguishable from Fraction(h, k) and stays frozen.
+    Only for callers that have proved 0 <= h <= k, k > 0 and gcd(h, k) = 1:
+    the generation kernel, the neighbor steps, UnimodularMap.apply and
+    counting.rank (a member carried back into its piece) prove it by
+    determinant and range checks.  The slot descriptors write the fields
+    directly, so the result is indistinguishable from Fraction(h, k) and
+    stays frozen.
     """
     f = _new_object(Fraction)
     _set_num(f, h)

@@ -60,6 +60,10 @@ class NamedMap:
     def map_class(self) -> MapClass:
         return MapClass.INJECTIVE if self.inverse_id is None else MapClass.BIJECTIVE
 
+    @property
+    def ignores_m(self) -> bool:  # both families full, whose specs take no m
+        return self.domain is _full and self.codomain is _full
+
     def check_constraint(self, n: int, m: int) -> None:
         if self.constraint is not None and not self.constraint(n, m):
             raise DomainError(
@@ -230,9 +234,9 @@ Oracle = Callable[[SequenceSpec], list[Fraction]]
 def verify_map(map_id: str, n: int, m: int, *, oracle: Oracle | None = None) -> VerificationReport:
     """Enumerate the domain, map every element, and check all claims.
 
-    Checks monotonicity in the declared direction, that bijections hit the
-    enumerated codomain exactly (injections land inside it without
-    collisions), and that the registered inverse undoes every element.
+    Checks strict monotonicity in the declared direction (so no collisions),
+    that bijections hit the enumerated codomain exactly (injections land
+    inside it), and that the registered inverse undoes every element.
     An alternative oracle (for example a caching one) may be supplied.
     """
     fetch = oracle if oracle is not None else enumerate_sequence
@@ -246,7 +250,7 @@ def verify_map(map_id: str, n: int, m: int, *, oracle: Oracle | None = None) -> 
     monotone = True
     preserving = entry.direction is Direction.PRESERVING
     for a, b in zip(images, images[1:]):
-        if (a < b) != preserving:
+        if not (a < b if preserving else b < a):
             monotone = False
             counterexample = f"order breaks at images {a}, {b}"
             break
@@ -260,14 +264,12 @@ def verify_map(map_id: str, n: int, m: int, *, oracle: Oracle | None = None) -> 
             if counterexample is None:
                 counterexample = "image set differs from the codomain"
     else:
-        seen = set()
         for x, y in zip(domain, images):
-            if y in seen or not member(codomain_spec, y):
+            if not member(codomain_spec, y):
                 image_ok = False
                 if counterexample is None:
-                    counterexample = f"{x} maps to {y}, a collision or a non-member"
+                    counterexample = f"{x} maps to {y}, a non-member"
                 break
-            seen.add(y)
 
     roundtrip_ok = True
     if entry.inverse_id is not None:
@@ -304,15 +306,14 @@ def valid_parameter_pairs(map_id: str, max_n: int) -> list[tuple[int, int]]:
     """All (n, m) with n <= max_n at which a map is defined and constrained.
 
     m runs over 0..n and the specs and the constraint keep what is valid;
-    mirror_full, whose specs ignore m, takes m = 0 only.
+    an entry that ignores m takes m = 0 only.
     """
     entry = get_map(map_id)
     pairs = []
     for n in range(1, max_n + 1):
-        for m in range(0, 1 if entry.id == "mirror_full" else n + 1):
-            if entry.constraint is not None and not entry.constraint(n, m):
-                continue
+        for m in range(0, 1 if entry.ignores_m else n + 1):
             try:
+                entry.check_constraint(n, m)
                 entry.domain(n, m)
                 entry.codomain(n, m)
             except DomainError:

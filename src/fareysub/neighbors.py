@@ -9,7 +9,7 @@ and back by the maps of `sequences._pieces`.
 
 Queries run on plain int pairs: each public function checks membership
 once on entry, carries the pair back to its piece, steps (the other way if
-the piece's map reverses the order), carries the result forward and builds
+det M = -1 for the piece's map M), carries the result forward and builds
 one Fraction at the end, without a gcd.  The step's result p/q satisfies
 k*p - h*q = +-1, which proves it reduced, and the maps keep it so.  The
 gdiff functions build no spec: sequences._admit alone states their domain.
@@ -39,9 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fraction import HALF, IDENTITY_MAP, DomainError, Fraction, UnimodularMap
-from .fraction import _reduced, make_fraction
-from .sequences import SequenceKind, SequenceSpec, _admit, _g_step, _require_member
+from .fraction import HALF, IDENTITY_MAP, DomainError, Fraction, _reduced, make_fraction
+from .sequences import SequenceKind, SequenceSpec, _admit, _carried_back, _g_step, _require_member
 from .sequences import _BOOL, _FNUM, _GDIFF, _LEFT, _RIGHT, _Piece, _piece, _pieces
 
 
@@ -73,12 +72,11 @@ def _require_interior(x: Fraction) -> None:
 
 
 def _floor_min(num_a: int, den_a: int, num_b: int, den_b: int) -> int:
-    """floor(min(num_a/den_a, num_b/den_b)) with den_a > 0.
+    """floor(min(num_a/den_a, num_b/den_b)) for positive denominators.
 
-    den_b == 0 marks the second ratio as +infinity.  The minimum is taken
-    over exact rationals first and only the chosen ratio is floored.
+    The minimum is taken over exact rationals and only the chosen one floored.
     """
-    if den_b != 0 and num_b * den_a < num_a * den_b:
+    if num_b * den_a < num_a * den_b:
         return num_b // den_b
     return num_a // den_a
 
@@ -112,24 +110,17 @@ def _g_neighbor(n: int, m: int, h: int, k: int, sign: int) -> tuple[int, int]:
     return _g_pair(n, m, h, k, sign)
 
 
-def _carried_back(M: UnimodularMap, h: int, k: int) -> tuple[int, int]:
-    """h/k carried back by M^-1, which is det(M) times the adjugate of M."""
-    a, b, c, d = M.a, M.b, M.c, M.d
-    det = a * d - b * c
-    return det * (d * h - b * k), det * (a * k - c * h)
-
-
 def _neighbor_pair(pieces: tuple[_Piece, ...], h: int, k: int, sign: int) -> tuple[int, int]:
     """The neighbor before (sign -1) or after (+1) the member h/k, as an int pair.
 
     h/k must have a neighbor on that side.  The step is taken in the piece
     that holds the neighbor, on h/k carried back to it.
     """
-    n, m, M, reverses = _piece(pieces, h, k, sign)
+    n, m, M = _piece(pieces, h, k, sign)
     if M is IDENTITY_MAP:
         return _g_neighbor(n, m, h, k, sign)
     u, v = _carried_back(M, h, k)
-    p, q = _g_neighbor(n, m, u, v, -sign if reverses else sign)
+    p, q = _g_neighbor(n, m, u, v, -sign if M.det < 0 else sign)
     return M.a * p + M.b * q, M.c * p + M.d * q
 
 
@@ -141,7 +132,7 @@ def _neighbor_pairs(piece: _Piece, h: int, k: int) -> tuple[tuple[int, int], tup
     the neighbor after.  Both are carried forward; a reversing map swaps
     them.
     """
-    n, m, M, reverses = piece
+    n, m, M = piece
     if M is IDENTITY_MAP:
         p, q = _g_pair(n, m, h, k, -1)
         return (p, q), _g_step(n, m, p, q, h, k)
@@ -150,7 +141,8 @@ def _neighbor_pairs(piece: _Piece, h: int, k: int) -> tuple[tuple[int, int], tup
     r, s = _g_step(n, m, p, q, u, v)
     a, b, c, d = M.a, M.b, M.c, M.d
     before, after = (a * p + b * q, c * p + d * q), (a * r + b * s, c * r + d * s)
-    return (after, before) if reverses else (before, after)
+    # det M < 0, on the entries already read: M.det cost 2% of a neighbor query.
+    return (after, before) if a * d < b * c else (before, after)
 
 
 def _interior_neighbor(kind: SequenceKind, n: int, m: int, x: Fraction, sign: int) -> Fraction:

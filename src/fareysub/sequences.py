@@ -36,8 +36,8 @@ generation by about a fifth.  Both make the same checks, and the tests pin
 them to each other.
 
 `_pieces` is the one table of how every family is a gdiff family, or two,
-carried over by a unimodular map; generation, neighbor queries, rank and
-the cardinality variants all read it.
+carried over by a unimodular map M, which reverses the order exactly when
+det M = -1; generation, neighbor queries, rank and cardinality read it.
 """
 
 from __future__ import annotations
@@ -259,14 +259,14 @@ def _g_down(n: int, m: int) -> Iterator[tuple[int, int]]:
 _GDUAL_TO_LEFT = UnimodularMap(-1, 1, -1, 2)  # h/k -> (k-h)/(2k-h)
 _G_TO_RIGHT = UnimodularMap(0, 1, -1, 2)  # h/k -> k/(2k-h)
 
-_Piece = tuple[int, int, UnimodularMap, bool]
+_Piece = tuple[int, int, UnimodularMap]
 
 
 def _pieces(spec: SequenceSpec) -> tuple[_Piece, ...]:
     """The family as images of gdiff families, in ascending order.
 
-    A piece (n', m', M, reverses) is the image of gdiff(n', m'), m' >= 0,
-    under M; reverses says that M reverses the order.  fnum is gdiff(n, n-m)
+    A piece (n', m', M) is the image of gdiff(n', m'), m' >= 0, under M,
+    which reverses the order exactly when det M = -1.  fnum is gdiff(n, n-m)
     through the mirror h/k -> (k-h)/k (lemma_g_to_f); the bool half up to
     1/2 is gdiff(n-m, n-2m) through h/k -> (k-h)/(2k-h), and the half from
     1/2 on is gdiff(m, 2m-n) through h/k -> k/(2k-h).  bool is both halves,
@@ -274,14 +274,14 @@ def _pieces(spec: SequenceSpec) -> tuple[_Piece, ...]:
     """
     n, m, kind = spec.n, spec.m, spec.kind
     if m is None:  # full
-        return ((n, 0, IDENTITY_MAP, False),)
+        return ((n, 0, IDENTITY_MAP),)
     # max(x, 0) written out: a builtin call costs as much as the tuple.
     if kind is _GDIFF:
-        return ((n, m if m > 0 else 0, IDENTITY_MAP, False),)
+        return ((n, m if m > 0 else 0, IDENTITY_MAP),)
     if kind is _FNUM:
-        return ((n, n - m if n > m else 0, MIRROR_MAP, True),)
-    left = (n - m, n - 2 * m if n > 2 * m else 0, _GDUAL_TO_LEFT, True)
-    right = (m, 2 * m - n if 2 * m > n else 0, _G_TO_RIGHT, False)
+        return ((n, n - m if n > m else 0, MIRROR_MAP),)
+    left = (n - m, n - 2 * m if n > 2 * m else 0, _GDUAL_TO_LEFT)
+    right = (m, 2 * m - n if 2 * m > n else 0, _G_TO_RIGHT)
     if kind is _LEFT:
         return (left,)
     if kind is _RIGHT:
@@ -300,6 +300,13 @@ def _carried(M: UnimodularMap, pairs: Iterator[tuple[int, int]]) -> Iterator[tup
     return ((a * h + b * k, c * h + d * k) for h, k in pairs)
 
 
+def _carried_back(M: UnimodularMap, h: int, k: int) -> tuple[int, int]:
+    """h/k carried back by M^-1, det(M) times the adjugate; the one int carry-back."""
+    a, b, c, d = M.a, M.b, M.c, M.d
+    det = a * d - b * c
+    return det * (d * h - b * k), det * (a * k - c * h)
+
+
 def _term_pairs(spec: SequenceSpec) -> Iterator[tuple[int, int]]:
     """The terms of spec, ascending, as int pairs (h, k); nothing is materialised.
 
@@ -308,8 +315,8 @@ def _term_pairs(spec: SequenceSpec) -> Iterator[tuple[int, int]]:
     term of the one before, where the downward walk is checked to end.
     """
     walks = []
-    for i, (n, m, M, reverses) in enumerate(_pieces(spec)):
-        walk = _g_down(n, m) if reverses else _g_up(n, m)
+    for i, (n, m, M) in enumerate(_pieces(spec)):
+        walk = _g_down(n, m) if M.det < 0 else _g_up(n, m)
         if M is not IDENTITY_MAP:
             walk = _carried(M, walk)
         walks.append(islice(walk, 1, None) if i else walk)

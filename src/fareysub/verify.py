@@ -240,7 +240,9 @@ def _gdiff_rank_rows(max_n: int) -> list[SuiteRow]:
     return [rank_row, rank_variant_row]
 
 
-def identity_suite(max_t: int = 300, enum_cross_max: int = 30, max_n: int = 20) -> list[SuiteRow]:
+def identity_suite(
+    max_t: int = 300, enum_cross_max: int | None = None, max_n: int = 20
+) -> list[SuiteRow]:
     """Every closed form of each count versus the oracle, plus the summation identities."""
     return _identity_closed_form_rows(max_n, max_t, enum_cross_max) + _gdiff_rank_rows(max_n)
 

@@ -14,6 +14,7 @@ from fareysub import (
     catalog,
     composite_left_identity,
     composite_right_identity,
+    enumerate_sequence,
     get_map,
     parse_fraction,
     verify_map,
@@ -202,6 +203,33 @@ def test_verify_map_worked_examples(oracle):
     domain = oracle(K.BOOLEAN_LEFT, 6, 4)
     images = [apply_named("prop_left_involution", 6, 4, x) for x in domain]
     assert images == [frac("1/2"), frac("1/3"), frac("0/1")]
+
+
+@pytest.mark.parametrize(
+    "map_id, n, m",
+    [
+        ("prop_left_to_right_rev", 6, 4),  # injective, reversing
+        ("prop_left_to_right_pres", 6, 4),  # injective, preserving
+        ("mirror_full", 6, 0),  # bijective, reversing
+        ("thm_f_to_left", 6, 4),  # bijective, preserving
+    ],
+)
+def test_verify_map_rejects_a_repeated_domain_element(map_id, n, m):
+    # Two equal consecutive images break a strict order in either direction.
+    domain_spec = get_map(map_id).domain(n, m)
+
+    def repeating(spec):
+        seq = enumerate_sequence(spec)
+        return seq[:2] + seq[1:] if spec == domain_spec else seq
+
+    report = verify_map(map_id, n, m, oracle=repeating)
+    assert report.domain_size == len(enumerate_sequence(domain_spec)) + 1
+    assert not report.monotone and not report.passed
+    assert report.counterexample.startswith("order breaks at images ")
+
+
+def test_only_mirror_full_ignores_m():
+    assert [entry.id for entry in catalog() if entry.ignores_m] == ["mirror_full"]
 
 
 def test_verify_map_constraint_violation():

@@ -2,7 +2,7 @@ from itertools import islice
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from fareysub import (
     IDENTITY_MAP,
@@ -22,6 +22,7 @@ from fareysub import (
     sequence_neighbors,
 )
 from fareysub.sequences import _SHARED_INTS_MAX_ORDER, _g_down, _g_step, _g_up, _g_walk, _pieces, _term_pairs
+from fareysub.sequences import _carried, _carried_back
 from strategies import family_members, valid_ms
 
 K = SequenceKind
@@ -361,10 +362,10 @@ def test_pieces_carry_gdiff_families_onto_every_family(oracle):
             for m in valid_ms(kind, n):
                 spec = SequenceSpec(kind, n, m)
                 joined = []
-                for piece_n, piece_m, matrix, reverses in _pieces(spec):
+                for piece_n, piece_m, matrix in _pieces(spec):
                     assert piece_m >= 0
                     image = [matrix.apply(x) for x in oracle(K.GDIFF, piece_n, piece_m)]
-                    if reverses:
+                    if matrix.det < 0:
                         image.reverse()
                     if joined:
                         assert image[0] == joined[-1]
@@ -373,7 +374,30 @@ def test_pieces_carry_gdiff_families_onto_every_family(oracle):
                 assert joined == oracle(kind, n, m), spec
 
 
+# Every matrix of the family table, keyed by object identity, over every kind, n <= 20 and m.
+_PIECE_MAPS = {
+    id(piece[2]): piece[2]
+    for kind in K
+    for n in range(1, 21)
+    for m in valid_ms(kind, n)
+    for piece in _pieces(SequenceSpec(kind, n, m))
+}
+
+
 def test_piece_matrices_are_the_catalog_matrices():
-    used = {id(piece[2]) for kind in K for piece in _pieces(SequenceSpec(kind, 7, None if kind is K.FULL else 3))}
+    # The table holds the catalog's own objects, so each matrix has one copy.
     catalog_ids = {id(get_map(i).matrix) for i in ("lemma_g_to_f", "thm_gdual_to_left", "thm_g_to_right")}
-    assert used == catalog_ids | {id(IDENTITY_MAP)}
+    assert set(_PIECE_MAPS) == catalog_ids | {id(IDENTITY_MAP)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-(10**9), 10**9), st.integers(-(10**9), 10**9))
+def test_carried_back_inverts_carried_for_every_piece_map(h, k):
+    assert len(_PIECE_MAPS) == 4
+    for matrix in _PIECE_MAPS.values():
+        (image,) = _carried(matrix, iter([(h, k)]))
+        assert _carried_back(matrix, *image) == (h, k), matrix
+        (back,) = _carried(matrix, iter([_carried_back(matrix, h, k)]))
+        assert back == (h, k), matrix
+        inverse = matrix.inverse()
+        assert _carried_back(matrix, h, k) == next(_carried(inverse, iter([(h, k)]))), matrix

@@ -146,6 +146,7 @@ def test_each_suite_is_the_concatenation_of_its_parts(max_n):
     assert _rows_of_parts("identities", max_n) == verify.identity_suite(
         max_n=max_n, enum_cross_max=min(max_n, 30)
     )
+    assert _rows_of_parts("identities", max_n) == verify.identity_suite(max_n=max_n)
     assert _rows_of_parts("maps", max_n) == verify.map_suite(max_n)
     for name in verify.CLI_SUITES:
         assert _rows_of_parts(name, max_n) == verify.run_cli_suite(name, max_n)
