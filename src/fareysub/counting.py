@@ -9,16 +9,17 @@ the coprime-count sum.  The other published closed forms are in the
 `fareysub card --format json` lists and compares with each other;
 `cardinality_variants` picks those of any family.
 
-The coprime-count sums factor each j <= n once per order: _divisor_table
-keeps the squarefree divisors of 1..n as flat arrays in a bounded cache,
-so the many calls of a sweep over one order share a single sieve.
+The coprime-count sum runs with d outermost: it is the sum of
+mu(d) * T(n // d, r // d), and each T is one Euclid-like floor sum (the
+floor_sum of the AtCoder Library), so a rank takes O(n log k) steps and
+reads no table but the Moebius values of _mu_upto.  The phi-sum variant of
+the gdiff size is the same sum at h/k = 1/1, where T has a closed form.
 """
 
 from __future__ import annotations
 
-from array import array
 from functools import lru_cache
-from math import isqrt
+from itertools import islice
 
 from .fraction import DomainError, Fraction, _reduced
 from .sequences import (
@@ -56,8 +57,8 @@ def moebius(d: int) -> int:
     return result
 
 
-# _divisor_table holds C ints, so its order is below 2**31; a Moebius table
-# of that order would take 16 GB.  Counting rejects such orders up front.
+# A _mu_upto tuple takes 8 bytes an entry, so one of order 2**31 would take
+# 16 GB.  Counting rejects such orders up front.
 _MAX_ORDER = 2**31
 
 
@@ -71,7 +72,7 @@ def _require_countable(n: int) -> None:
 # bound).  A table of order n takes 8n bytes: 32 MB for four at n = 10**6.
 @lru_cache(maxsize=4)
 def _mu_upto(limit: int) -> tuple[int, ...]:
-    """Sieved Moebius values; index d holds mu(d), index 0 is unused."""
+    """Sieved Moebius values; index d holds mu(d), and index 0 holds 0."""
     _require_countable(limit)
     mu = [1] * (limit + 1)
     mu[0] = 0
@@ -108,66 +109,64 @@ def _squarefree_divisors(h: int) -> list[tuple[int, int]]:
     return divisors
 
 
-@lru_cache(maxsize=2)
-def _divisor_table(n: int) -> tuple[memoryview, memoryview]:
-    """Squarefree divisors of every j <= n, flat, for the coprime-count sums.
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Sum of floor((a*i + b) / m) over 0 <= i < n, for n >= 0, m >= 1, a, b >= 0.
 
-    The divisors of j are divisors[starts[j - 1]:starts[j]]: first those
-    with mu(d) = +1, then as many with mu(d) = -1 (j = 1 has only d = 1),
-    so the halves meet at (starts[j - 1] + starts[j] + 1) // 2.  Each j is
-    built from q = j/p, p its least prime: if p divides q too, j has the
-    divisors of q; otherwise the plus half of j is the plus half of q then
-    p times its minus half, and the minus half likewise.  A smallest-prime-
-    factor sieve finds p: writing each d into the multiples of d*d, from the
-    largest d down, leaves every index holding its least divisor above 1,
-    which is prime.
-
-    Entries are C ints, so n < 2**31; a table takes about 40 MB at
-    n = 10**6.  A sweep visits one order at a time, or two when it ranks
-    the two pieces of a bool family, so two entries suffice.  The views
-    are read-only because every caller gets the same arrays.
+    Euclid-like, in O(log m) steps: whole quotients of a and b are summed in
+    closed form, and the rest is the same sum with the roles of a and m
+    swapped, counted along the other axis.
     """
-    _require_countable(n)
-    spf = array("i", range(n + 1))
-    for d in range(isqrt(n), 1, -1):
-        spf[d * d :: d] = array("i", [d]) * len(range(d * d, n + 1, d))
-    starts, divisors = array("i", [0, 1]), array("i", [1])
-    for j in range(2, n + 1):
-        p = spf[j]
-        q = j // p
-        a, b = starts[q - 1], starts[q]
-        if q % p:
-            mid = (a + b + 1) // 2
-            plus, minus = divisors[a:mid], divisors[mid:b]
-            divisors += plus
-            divisors.extend([d * p for d in minus])
-            divisors += minus
-            divisors.extend([d * p for d in plus])
-        else:
-            divisors += divisors[a:b]
-        starts.append(len(divisors))
-    return memoryview(starts).toreadonly(), memoryview(divisors).toreadonly()
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
+
+
+def _below(N: int, R: int, h: int, k: int) -> int:
+    """T(N, R): the sum over j <= N of #{i : max(1, j - R) <= i <= jh/k}, for h <= k.
+
+    Up to j = R + 1 the count is floor(jh/k).  Past it, it is floor(jh/k) -
+    (j - R - 1), positive up to the crossing J = floor(Rk/(k - h)) and empty
+    beyond.  So T is one floor sum up to min(N, J), less the triangle cut off
+    past R + 1, or just the floor sum up to min(N, R + 1) when J <= R + 1.
+    At h/k = 1/1 the crossing never comes, and T is A(A + 1)/2 +
+    (N - A)(R + 1) with A = min(N, R + 1).  Comparisons stand in for min():
+    T runs once per squarefree d <= n.
+    """
+    if h == k:
+        A = N if N <= R else R + 1
+        return A * (A + 1) // 2 + (N - A) * (R + 1)
+    J = R * k // (k - h)
+    top = J if J < N else N
+    cut = top - R - 1
+    if cut <= 0:
+        return _floor_sum((N if N <= R else R + 1) + 1, k, h, 0)
+    return _floor_sum(top + 1, k, h, 0) - cut * (cut + 1) // 2
 
 
 def _coprime_sum(n: int, r: int, h: int, k: int) -> int:
     """Sum over j <= n of the count of i coprime to j in [max(j - r, 1), jh/k].
 
-    It is read off _divisor_table(n) with plain loops.
+    By Moebius inversion over the d dividing gcd(i, j), with d outermost:
+    the pairs that d divides are d times the pairs (i', j') with
+    j' <= n // d and max(1, j' - r // d) <= i' <= j'h/k, since
+    ceil((dj' - r)/d) = j' - r // d.  So the sum is that of
+    mu(d) * T(n // d, r // d) over d <= n.  T(N, R) is 0 unless some j <= N
+    has jh >= k, so d stops at n // ceil(k/h).
     """
-    starts, divisors = _divisor_table(n)
-    total = 0
-    for j in range(1, n + 1):
-        top = (j * h) // k
-        low = j - r - 1 if j > r + 1 else 0
-        if low >= top:
-            continue
-        a, b = starts[j - 1], starts[j]
-        mid = (a + b + 1) // 2
-        for d in divisors[a:mid]:
-            total += top // d - low // d
-        for d in divisors[mid:b]:
-            total -= top // d - low // d
-    return total
+    if h == 0:
+        return 0
+    mu = islice(_mu_upto(n), n // -(-k // h) + 1)
+    return sum([s * _below(n // d, r // d, h, k) for d, s in enumerate(mu) if s])
 
 
 def phi_interval(h: int, i: int, l: int) -> int:

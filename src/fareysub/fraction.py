@@ -74,9 +74,11 @@ def _reduced(h: int, k: int) -> Fraction:
     Only for callers that have proved 0 <= h <= k, k > 0 and gcd(h, k) = 1:
     the generation kernel, the neighbor steps, UnimodularMap.apply and
     counting.rank (a member carried back into its piece) prove it by
-    determinant and range checks.  The slot descriptors write the fields
-    directly, so the result is indistinguishable from Fraction(h, k) and
-    stays frozen.
+    determinant and range checks, and the enumeration oracle by crossing off
+    the multiples of k's prime factors.  The oracle also hands member, which
+    reads the pair alone, unreduced probes of the pairs just outside each
+    scanned range.  The slot descriptors write the fields directly, so the
+    result is indistinguishable from Fraction(h, k) and stays frozen.
     """
     f = _new_object(Fraction)
     _set_num(f, h)

@@ -11,11 +11,14 @@ the order-n Farey sequence:
   bool-right  the bool family restricted to h/k >= 1/2
 
 `enumerate_sequence` is the deliberately naive oracle: it scans every
-denominator, filters by gcd and the membership predicate, and sorts.  The
-generators below produce the same sequences through one closed-form
-recurrence and are the ones to use at scale; the oracle is the trust anchor
-they are tested against.  They run on plain int pairs, one gdiff step at a
-time, and build each Fraction once at the end, without a gcd, in _terms.
+denominator k, over the numerators that the family's bounds admit at k and
+are coprime to k, filters each by the membership predicate, and sorts by
+the integer key h*n*n // k, which is strictly increasing on F_n because two
+distinct members differ by at least 1/n**2.  The generators below produce
+the same sequences through one closed-form recurrence and are the ones to
+use at scale; the oracle is the trust anchor they are tested against.
+They run on plain int pairs, one gdiff step at a time, and build each
+Fraction once at the end, without a gcd, in _terms.
 
 The terms of one call share their int objects: up to order
 _SHARED_INTS_MAX_ORDER, _terms takes each numerator and denominator from
@@ -44,8 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-import math
-from itertools import chain, islice
+from itertools import chain, compress, islice, repeat
 from typing import Iterator
 
 from .fraction import IDENTITY_MAP, MIRROR_MAP, DomainError, Fraction, UnimodularMap, _reduced
@@ -151,19 +153,77 @@ def _require_member(spec: SequenceSpec, x: Fraction) -> None:
         raise DomainError(f"{x} is not in the {spec.kind.value} family n={spec.n}, m={spec.m}")
 
 
+def _numerators(spec: SequenceSpec, k: int) -> range:
+    """The numerators h in [0, k] whose pair h/k meets the bounds of spec; empty for k > n.
+
+    It is the member predicate solved for h at denominator k: member reads
+    only h and k, and each of its bounds (h <= m, k - h <= n - m, 2h <= k,
+    2h >= k) cuts [0, k] at one end.
+    """
+    n, kind = spec.n, spec.kind
+    if k > n:
+        return range(0)
+    lo, hi = 0, k
+    if kind is not _FULL:
+        m = spec.m
+        assert m is not None
+        if kind is not _FNUM:
+            lo = max(0, k - (n - m))
+        if kind is not _GDIFF:
+            hi = min(k, m)
+        if kind is _LEFT:
+            hi = min(hi, k // 2)
+        elif kind is _RIGHT:
+            lo = max(lo, (k + 1) // 2)
+    return range(lo, hi + 1)
+
+
+def _prime_factors(k: int) -> list[int]:
+    """The distinct primes dividing k, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= k:
+        if k % p == 0:
+            primes.append(p)
+            while k % p == 0:
+                k //= p
+        p += 1
+    if k > 1:
+        primes.append(k)
+    return primes
+
+
 def enumerate_sequence(spec: SequenceSpec, *, max_order: int = MAX_ENUM_ORDER) -> list[Fraction]:
-    """Brute-force oracle: every reduced h/k, filtered by member(), sorted."""
-    if spec.n > max_order:
-        raise DomainError(f"n={spec.n} exceeds the enumeration bound {max_order}")
-    out = []
-    for k in range(1, spec.n + 1):
-        for h in range(0, k + 1):
-            if math.gcd(h, k) != 1:
-                continue
-            f = Fraction(h, k)
-            if member(spec, f):
-                out.append(f)
-    out.sort()
+    """Brute-force oracle: every reduced h/k with k <= n, filtered by member(), sorted.
+
+    At denominator k only the numerators of _numerators(spec, k) are
+    scanned, and of them those coprime to k: the ones left standing after
+    the multiples of each prime factor of k are crossed off.  Every
+    candidate is still filtered by member, and member must reject the
+    numerator just outside each end of the range, so a range too narrow
+    raises RuntimeError.  The sort key h*n*n // k is strictly increasing on
+    F_n: two distinct members differ by at least 1/n**2, so their keys by at
+    least 1.
+    """
+    n = spec.n
+    if n > max_order:
+        raise DomainError(f"n={n} exceeds the enumeration bound {max_order}")
+    out: list[Fraction] = []
+    for k in range(1, n + 1):
+        span = _numerators(spec, k)
+        lo, hi = span.start, span.stop
+        # Probes of the pair alone, which member reads; they need not be reduced.
+        if (lo > 0 and member(spec, _reduced(lo - 1, k))) or (
+            hi <= k and member(spec, _reduced(hi, k))
+        ):
+            raise RuntimeError(f"{spec} admits a numerator just outside {span} at denominator {k}")
+        coprime = bytearray(b"\x01") * (k + 1)
+        for p in _prime_factors(k):
+            coprime[::p] = bytes(k // p + 1)
+        candidates = map(_reduced, compress(span, coprime[lo:hi]), repeat(k))
+        out += [f for f in candidates if member(spec, f)]
+    square = n * n
+    out.sort(key=lambda f: f.num * square // f.den)
     return out
 
 

@@ -276,17 +276,17 @@ class Part(NamedTuple):
     rows: Callable[[int], list[SuiteRow]]  # max_n -> rows; module-level, so it pickles
 
 
-# Every part of `fareysub verify`, costliest first (process CPU with cold
-# caches at --max-n 20, 2-CPU host): a pool handed them in this order starts
-# the longest at once.
+# Every part of `fareysub verify`, costliest first (median process CPU of
+# 15 fresh processes with cold caches at --max-n 20, 2-CPU Linux host,
+# CPython 3.11): a pool handed them in this order starts the longest at once.
 PARTS = (
-    Part("identities", 1, _gdiff_rank_rows),  # 0.229 s
-    Part("neighbors", 0, _gdiff_neighbor_rows),  # 0.174 s
-    Part("maps", 0, map_suite),  # 0.158 s
-    Part("neighbors", 1, _fnum_neighbor_rows),  # 0.114 s
-    Part("identities", 0, _identity_closed_form_rows),  # 0.093 s
-    Part("neighbors", 2, _bool_neighbor_rows),  # 0.059 s
-    Part("neighbors", 3, _endpoint_rows),  # 0.024 s
+    Part("identities", 1, _gdiff_rank_rows),  # 0.142 s
+    Part("maps", 0, map_suite),  # 0.116 s
+    Part("neighbors", 0, _gdiff_neighbor_rows),  # 0.075 s
+    Part("neighbors", 1, _fnum_neighbor_rows),  # 0.069 s
+    Part("identities", 0, _identity_closed_form_rows),  # 0.053 s
+    Part("neighbors", 2, _bool_neighbor_rows),  # 0.040 s
+    Part("neighbors", 3, _endpoint_rows),  # 0.013 s
 )
 
 # The suites of `fareysub verify`, by the names its selectors use.

@@ -16,6 +16,30 @@ def valid_ms(kind: K, n: int) -> list:
     return list(range(1, n))
 
 
+def draw_m(draw, kind: K, n: int):
+    """A parameter admissible for the kind at order n >= 2, slack values included."""
+    if kind is K.FULL:
+        return None
+    if kind is K.FNUM:
+        return draw(st.integers(1, n + 2))
+    if kind is K.GDIFF:
+        return draw(st.integers(-2, n - 1))
+    return draw(st.integers(1, n - 1))
+
+
+@st.composite
+def families(draw, max_n: int):
+    """A family of any kind and order 2 <= n <= max_n.
+
+    The order is drawn within a tenth of a scale drawn first, so orders near
+    max_n come up as often as small ones.
+    """
+    kind = draw(st.sampled_from(list(K)))
+    scale = draw(st.sampled_from([10, 1000, max_n]))
+    n = draw(st.integers(max(2, scale // 10), scale))
+    return SequenceSpec(kind, n, draw_m(draw, kind, n))
+
+
 @st.composite
 def family_members(draw, max_n: int, kinds=tuple(K)):
     """A family of order 2 <= n <= max_n and a member of it, drawn as h/k and reduced.
@@ -26,13 +50,7 @@ def family_members(draw, max_n: int, kinds=tuple(K)):
     """
     kind = draw(st.sampled_from(list(kinds)))
     n = draw(st.integers(2, max_n))
-    m = None
-    if kind is K.FNUM:
-        m = draw(st.integers(1, n + 2))
-    elif kind is K.GDIFF:
-        m = draw(st.integers(-2, n - 1))
-    elif kind is not K.FULL:
-        m = draw(st.integers(1, n - 1))
+    m = draw_m(draw, kind, n)
     spec = SequenceSpec(kind, n, m)
     k = draw(st.integers(1, n))
     lo, hi = 0, k

@@ -1,7 +1,8 @@
+from itertools import accumulate
 import math
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fareysub import (
     HALF,
@@ -21,6 +22,7 @@ from fareysub import (
     g_cardinality_variants,
     g_rank,
     g_rank_variants,
+    generate_sequence,
     moebius,
     moebius_floor_square_sum,
     moebius_floor_sum,
@@ -30,7 +32,7 @@ from fareysub import (
     sequence_neighbors,
 )
 from fareysub import counting
-from strategies import family_members, valid_ms
+from strategies import families, family_members, valid_ms
 
 K = SequenceKind
 
@@ -284,29 +286,41 @@ def test_rank_of_successor_is_one_more(case):
     assert rank(spec, succ) == rank(spec, x) + 1
 
 
-def test_phi_sums_factor_each_order_once(monkeypatch):
-    def trial_division(h):
-        raise AssertionError(f"trial division of {h} inside a phi-sum")
-
-    monkeypatch.setattr(counting, "_squarefree_divisors", trial_division)
-    table = counting._divisor_table
-    assert table.cache_info().maxsize is not None and table.cache_info().maxsize <= 8
-    table.cache_clear()
-    assert g_cardinality_variants(300, 120)["phi-sum"] == g_cardinality(300, 120)
-    x = Fraction(7, 19)
-    assert set(g_rank_variants(300, 120, x).values()) == {g_rank(300, 120, x)}
-    assert table.cache_info().misses == 1
+def test_floor_sum_matches_the_literal_sum():
+    for c in range(0, 9):
+        for m in range(1, 9):
+            for a in range(0, 13):
+                for b in range(0, 13):
+                    want = sum((a * i + b) // m for i in range(c))
+                    assert counting._floor_sum(c, m, a, b) == want, (c, m, a, b)
 
 
-def test_divisor_table_matches_trial_division():
-    starts, divisors = counting._divisor_table(3000)
-    assert len(starts) == 3001
-    for j in range(1, 3001):
-        a, b = starts[j - 1], starts[j]
-        plus, minus = divisors[a : (a + b + 1) // 2], divisors[(a + b + 1) // 2 : b]
-        signed = [(d, 1) for d in plus] + [(d, -1) for d in minus]
-        assert sorted(signed) == sorted(counting._squarefree_divisors(j))
-        assert all(moebius(d) == s for d, s in signed)
+def test_g_rank_matches_a_per_j_gcd_count():
+    # The coprime count with a gcd per pair and no Moebius function:
+    # coprime[j - 1][t] counts the i in [1, t] coprime to j, and each j adds
+    # those in [max(1, j - r), jh/k] to the rank of every member h/k.
+    for n in range(1, 41):
+        coprime = [
+            list(accumulate((math.gcd(i, j) == 1 for i in range(1, j + 1)), initial=0))
+            for j in range(1, n + 1)
+        ]
+        for m in range(-2, n):
+            r = n - max(m, 0)
+            seq = generate_sequence(SequenceSpec(K.GDIFF, n, m))
+            want = [0] * len(seq)
+            for j, count in enumerate(coprime, 1):
+                low = count[max(1, j - r) - 1]
+                want = [w + max(0, count[j * x.num // x.den] - low) for w, x in zip(want, seq)]
+            assert [g_rank(n, m, x) for x in seq] == want, (n, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(families(10**5))
+@example(SequenceSpec(K.BOOLEAN, 10**5, 40_000))
+@example(SequenceSpec(K.GDIFF, 10**5, -2))
+def test_rank_of_last_is_cardinality_minus_one_up_to_1e5(spec):
+    last = HALF if spec.kind is K.BOOLEAN_LEFT else ONE
+    assert rank(spec, last) == _cardinality(spec) - 1, spec
 
 
 @settings(max_examples=100, deadline=None)
@@ -329,10 +343,6 @@ def test_cardinality_variants_agree_beyond_the_oracle(data):
         K.FNUM: (f_cardinality, f_cardinality_variants),
         K.BOOLEAN: (boolean_cardinality, boolean_cardinality_variants),
     }[kind]
-    # The scalar counts read no coprime-count sum, so they build no divisor table.
-    table = counting._divisor_table
-    table.cache_clear()
     size = scalar(n, m)
     assert full_cardinality(n) >= size
-    assert table.cache_info().misses == 0
     assert set(variants(n, m).values()) == {size}, (kind, n, m)

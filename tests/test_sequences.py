@@ -1,4 +1,5 @@
 from itertools import islice
+import math
 import tracemalloc
 
 import pytest
@@ -22,7 +23,10 @@ from fareysub import (
     sequence_neighbors,
 )
 from fareysub.sequences import _SHARED_INTS_MAX_ORDER, _g_down, _g_step, _g_up, _g_walk, _pieces, _term_pairs
-from fareysub.sequences import _carried, _carried_back
+from fareysub import sequences
+from fareysub.fraction import _reduced
+from fareysub.sequences import _carried, _carried_back, _numerators
+from fareysub.verify import _main_sweep
 from strategies import family_members, valid_ms
 
 K = SequenceKind
@@ -99,6 +103,47 @@ def test_enumerate_respects_size_bound():
     with pytest.raises(DomainError):
         enumerate_sequence(SequenceSpec(K.FULL, 50), max_order=10)
     assert enumerate_sequence(SequenceSpec(K.FULL, 50), max_order=50)[0] == Fraction(0, 1)
+
+
+def _reference_scan(spec):
+    """The oracle's former scan: a gcd per pair, Fraction(h, k), member, a sort by __lt__."""
+    out = []
+    for k in range(1, spec.n + 1):
+        for h in range(0, k + 1):
+            if math.gcd(h, k) != 1:
+                continue
+            f = Fraction(h, k)
+            if member(spec, f):
+                out.append(f)
+    out.sort()
+    return out
+
+
+def test_enumerate_matches_the_reference_scan():
+    for kind in K:
+        for spec in _main_sweep(kind, 40):
+            assert enumerate_sequence(spec) == _reference_scan(spec), spec
+
+
+def test_numerators_are_the_member_pairs_at_each_denominator():
+    # member reads the pair alone, so the unreduced pairs are asked too.
+    for kind in K:
+        for spec in _main_sweep(kind, 40):
+            for k in range(1, spec.n + 3):
+                want = [h for h in range(k + 1) if member(spec, _reduced(h, k))]
+                assert list(_numerators(spec, k)) == want, (spec, k)
+
+
+@pytest.mark.parametrize("narrow", [(1, 0), (0, -1)])
+def test_a_numerator_range_too_narrow_is_refused(monkeypatch, narrow):
+    def narrowed(spec, k):
+        span = numerators(spec, k)
+        return range(span.start + narrow[0], span.stop + narrow[1])
+
+    numerators = sequences._numerators
+    monkeypatch.setattr(sequences, "_numerators", narrowed)
+    with pytest.raises(RuntimeError, match="just outside"):
+        enumerate_sequence(SequenceSpec(K.BOOLEAN, 9, 5))
 
 
 def test_halfsequences_examples():
