@@ -161,15 +161,6 @@ def _usable_cpus() -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_n < 0:
         raise UsageError(f"--max-n must be >= 0, got {args.max_n}")
-    selected = []
-    if args.all_maps:
-        selected.append("maps")
-    if args.identities:
-        selected.append("identities")
-    if args.neighbors:
-        selected.append("neighbors")
-    if not selected:
-        selected = ["maps", "identities", "neighbors"]
 
     # Imported here so that no other subcommand pays for the pool's modules
     # or for the suites.
@@ -177,18 +168,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     from . import verify
 
-    # One part per task, costliest first, so the workers finish close
-    # together. Each worker fills its own caches, and neither the pool nor a
-    # worker outlives this call.
-    parts = [part for part in verify.PARTS if part.suite in selected]
+    chosen = {"maps": args.all_maps, "identities": args.identities, "neighbors": args.neighbors}
+    selected = [name for name in verify.SUITES if chosen[name]] or list(verify.SUITES)
+    # One part per task, in print order. Each worker fills its own caches,
+    # and neither the pool nor a worker outlives this call.
+    parts = [part for name in selected for part in verify.SUITES[name]]
     with ProcessPoolExecutor(max_workers=min(len(parts), _usable_cpus())) as pool:
-        futures = {part: pool.submit(part.rows, args.max_n) for part in parts}
-        rows = [
-            row
-            for name in selected
-            for part in verify.suite_parts(name)
-            for row in futures[part].result()
-        ]
+        futures = [pool.submit(part, args.max_n) for part in parts]
+        rows = [row for future in futures for row in future.result()]
 
     width = max(len(row.name) for row in rows)
     print(f"{'suite':<{width}}  {'checks':>8}  {'failures':>8}  status")

@@ -4,13 +4,16 @@ Each suite sweeps a parameter range, compares closed forms or map images
 with the brute-force enumeration, and returns one summary row per checked
 property.
 
-A suite is made of *parts*, each a contiguous run of its rows; `PARTS`
-lists the seven parts of the three suites of `fareysub verify`, costliest
-first.  `neighbor_suite`, `identity_suite`, `map_suite` and
+A suite is made of *parts*, each a contiguous run of its rows; `SUITES`
+states the three suites of `fareysub verify` and their seven parts, in
+print order.  `neighbor_suite`, `identity_suite`, `map_suite` and
 `run_cli_suite` return the concatenation of their parts' rows.
-`fareysub verify` hands each part to a worker process
-(`cli.cmd_verify`) and reassembles the rows in suite order, so its table
-is the same as a serial run's.
+`fareysub verify` (`cli.cmd_verify`) hands the parts to a pool of worker
+processes in print order and reads their rows back in that order, so its
+table is the same as a serial run's.  Print order is enough: the pool gives
+each free worker the next part, and no part dominates the others, so a
+costliest-first order measured the same wall time (0.35 s at --max-n 20 on
+2 CPUs, CPython 3.11).
 
 The oracle runs its naive scan once per order: `enumerate_sequence` lists
 the Farey sequence F_n, and every spec of order n is that list filtered by
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 from . import counting, maps, neighbors
 from .fraction import HALF, ONE, ZERO, DomainError, Fraction
@@ -268,42 +271,19 @@ def map_suite(max_n: int = 20) -> list[SuiteRow]:
     return rows
 
 
-class Part(NamedTuple):
-    """A contiguous run of one suite's rows, as `fareysub verify --max-n` runs it."""
-
-    suite: str
-    slot: int  # the place of its rows among the parts of its suite
-    rows: Callable[[int], list[SuiteRow]]  # max_n -> rows; module-level, so it pickles
-
-
-# Every part of `fareysub verify`, costliest first (median process CPU of
-# 15 fresh processes with cold caches at --max-n 20, 2-CPU Linux host,
-# CPython 3.11): a pool handed them in this order starts the longest at once.
-PARTS = (
-    Part("identities", 1, _gdiff_rank_rows),  # 0.142 s
-    Part("maps", 0, map_suite),  # 0.116 s
-    Part("neighbors", 0, _gdiff_neighbor_rows),  # 0.075 s
-    Part("neighbors", 1, _fnum_neighbor_rows),  # 0.069 s
-    Part("identities", 0, _identity_closed_form_rows),  # 0.053 s
-    Part("neighbors", 2, _bool_neighbor_rows),  # 0.040 s
-    Part("neighbors", 3, _endpoint_rows),  # 0.013 s
-)
-
-# The suites of `fareysub verify`, by the names its selectors use.
-CLI_SUITES = ("identities", "neighbors", "maps")
-
-
-def suite_parts(name: str) -> list[Part]:
-    """The parts of one suite of `fareysub verify`, in the order of its rows."""
-    parts = sorted((part for part in PARTS if part.suite == name), key=lambda part: part.slot)
-    if not parts:
-        raise ValueError(f"unknown verify suite {name!r}")
-    return parts
+# The suites of `fareysub verify` by the names its selectors use, each as its
+# parts in print order.  A part is a module-level function max_n -> rows, so
+# it pickles; a suite's rows are those of its parts, in this order.
+SUITES: dict[str, tuple[Callable[[int], list[SuiteRow]], ...]] = {
+    "maps": (map_suite,),
+    "identities": (_identity_closed_form_rows, _gdiff_rank_rows),
+    "neighbors": (_gdiff_neighbor_rows, _fnum_neighbor_rows, _bool_neighbor_rows, _endpoint_rows),
+}
 
 
 def run_cli_suite(name: str, max_n: int) -> list[SuiteRow]:
-    """One suite of `fareysub verify`, by name: the rows of its parts, in order."""
-    return [row for part in suite_parts(name) for row in part.rows(max_n)]
+    """One suite of `SUITES`, by name: the rows of its parts, in order; KeyError if unknown."""
+    return [row for part in SUITES[name] for row in part(max_n)]
 
 
 def structure_suite(max_n: int = 20) -> list[SuiteRow]:

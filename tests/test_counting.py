@@ -137,21 +137,34 @@ def test_g_rank_matches_oracle(oracle):
                 assert variants["phi-sum"] == i
 
 
-def test_g_rank_moebius_variant_is_reported_not_trusted(oracle, capsys):
-    # The transcription of this closed form is uncertain; record how it
-    # behaves, assert nothing about it.
-    mismatches = 0
-    checks = 0
-    for n in range(2, 13):
-        for m in range(0, n):
-            seq = oracle(K.GDIFF, n, m)
-            for i, x in enumerate(seq):
-                if i == 0:
-                    continue
-                checks += 1
-                if g_rank_variants(n, m, x)["moebius-sum"] != i:
-                    mismatches += 1
-    print(f"rank moebius-sum variant: {mismatches} mismatches in {checks} checks")
+def _moebius_rank_by_loop(n, m, x):
+    """The moebius-sum with its inner sum taken one j at a time, as first written."""
+    m = max(m, 0)
+    h, k = x.num, x.den
+    twice = 2
+    for d in range(1, n + 1):
+        if moebius(d) == 0:
+            continue
+        nd, rd = n // d, (n - m) // d
+        inner = 0  # sum of min(rd, j(k-h)/k) over j <= nd; the floor never falls
+        for j in range(1, nd + 1):
+            term = (j * (k - h)) // k
+            if term >= rd:
+                inner += rd * (nd + 1 - j)
+                break
+            inner += term
+        twice += moebius(d) * (rd * (2 * nd - rd - 1) - 2 * inner)
+    return twice // 2
+
+
+def test_g_rank_moebius_variant_is_reported_not_trusted(oracle):
+    # verify reports this variant rather than trusting it; here it must match
+    # the oracle index and the per-j loop on every member, 0/1 and 1/1 included.
+    for n in range(1, 25):
+        for m in range(-2, n):
+            for i, x in enumerate(oracle(K.GDIFF, n, m)):
+                got = g_rank_variants(n, m, x)["moebius-sum"]
+                assert got == i == _moebius_rank_by_loop(n, m, x), (n, m, x)
 
 
 def test_g_rank_rejects_zero_and_non_members():

@@ -136,7 +136,7 @@ def test_a_wrong_cardinality_variant_fails_verify_cleanly(capsys, monkeypatch):
 
 
 def _rows_of_parts(name, max_n):
-    return [row for part in verify.suite_parts(name) for row in part.rows(max_n)]
+    return [row for part in verify.SUITES[name] for row in part(max_n)]
 
 
 @pytest.mark.parametrize("max_n", [0, 1, 6, 20])
@@ -148,40 +148,49 @@ def test_each_suite_is_the_concatenation_of_its_parts(max_n):
     )
     assert _rows_of_parts("identities", max_n) == verify.identity_suite(max_n=max_n)
     assert _rows_of_parts("maps", max_n) == verify.map_suite(max_n)
-    for name in verify.CLI_SUITES:
+    for name in verify.SUITES:
         assert _rows_of_parts(name, max_n) == verify.run_cli_suite(name, max_n)
 
 
 def test_every_part_appears_once_and_covers_every_suite():
-    assert len(set(verify.PARTS)) == len(verify.PARTS)
-    assert {part.suite for part in verify.PARTS} == set(verify.CLI_SUITES)
-    for name in verify.CLI_SUITES:
-        assert [part.slot for part in verify.suite_parts(name)] == list(
-            range(sum(part.suite == name for part in verify.PARTS))
-        )
+    parts = [part for suite in verify.SUITES.values() for part in suite]
+    assert len(set(parts)) == len(parts) == 7
+    assert list(verify.SUITES) == ["maps", "identities", "neighbors"]
     # No row is split between two parts or made by two.
-    names = [row.name for part in verify.PARTS for row in part.rows(4)]
+    names = [row.name for part in parts for row in part(4)]
     assert len(names) == len(set(names))
-    with pytest.raises(ValueError):
-        verify.suite_parts("structure")
+    with pytest.raises(KeyError):
+        verify.run_cli_suite("structure", 4)
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
 @pytest.mark.parametrize(
-    "flags, parts", [([], 7), (["--all-maps"], 1), (["--identities", "--neighbors"], 6)]
+    "flags, parts", [([], 7), (["--all-maps"], 1), (["--neighbors", "--identities"], 6)]
 )
 def test_verify_output_does_not_depend_on_the_worker_count(capsys, monkeypatch, cpus, flags, parts):
     workers = []
+    submitted = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             workers.append(max_workers)
             super().__init__(max_workers)
 
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
     monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     got = _run(capsys, ["verify", *flags, "--max-n", "6"])
     assert got == _verify_reference(flags, 6)
+    # The selected suites' parts, each once, in print order whatever the
+    # order of the flags.
+    flag = {"maps": "--all-maps", "identities": "--identities", "neighbors": "--neighbors"}
+    want = [
+        part for name, suite in verify.SUITES.items() if not flags or flag[name] in flags for part in suite
+    ]
+    assert submitted == want and len(want) == parts
     assert workers == [min(parts, cpus)]
 
 
@@ -190,7 +199,7 @@ def test_verify_output_does_not_depend_on_the_worker_count(capsys, monkeypatch, 
     reason="the patched formula reaches the workers only when they are forked",
 )
 def test_a_check_failing_in_a_later_part_fails_the_call(capsys, monkeypatch):
-    # Wrong at one anchor of one order only: the bool part runs after four others.
+    # Wrong at one anchor of one order only: the bool part runs after five others.
     plain = neighbors.boolean_special_neighbors
 
     def wrong_at_7_3(n, m, anchor):
