@@ -9,17 +9,28 @@ the coprime-count sum.  The other published closed forms are in the
 `fareysub card --format json` lists and compares with each other;
 `cardinality_variants` picks those of any family.
 
-The coprime-count sum runs with d outermost: it is the sum of
-mu(d) * T(n // d, r // d), and each T is one Euclid-like floor sum (the
-floor_sum of the AtCoder Library), so a rank takes O(n log k) steps and
-reads no table but the Moebius values of _mu_upto.  The phi-sum variant of
-the gdiff size is the same sum at h/k = 1/1, where T has a closed form.
+The production sums, the coprime-count sum of a rank and the fnum sum of
+a cardinality, are sums of mu(d) * F(n // d, r // d) over d.  Both
+quotients are constant on O(sqrt n) runs of d, which _blocks walks: each
+run adds its weight, the sum of mu over the run, times one F.  In the
+coprime-count sum F is T(n // d, r // d), one Euclid-like floor sum (the
+floor_sum of the AtCoder Library), so a rank takes O(sqrt(n) log k) steps
+after the O(n) C-level pass that sums the run weights, and reads no table
+but the Moebius values of _mu_upto.  The phi-sum variant of the gdiff size
+is the same sum at h/k = 1/1, where T has a closed form.
+
+The published cross-check forms run per d on purpose, so that each
+compares a blocked sum with one that shares no run walk: "moebius-sum-alt"
+of fnum, "moebius-product" of bool, the "moebius-sum" gdiff rank,
+moebius_floor_sum and moebius_floor_square_sum.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice
+from itertools import compress, islice
+from math import isqrt
+from typing import Iterator
 
 from .fraction import DomainError, Fraction, _reduced
 from .sequences import (
@@ -57,8 +68,9 @@ def moebius(d: int) -> int:
     return result
 
 
-# A _mu_upto tuple takes 8 bytes an entry, so one of order 2**31 would take
-# 16 GB.  Counting rejects such orders up front.
+# A _mu_upto table takes 1 byte an entry, and building it about 3, so one of
+# order 2**31 would take 2 GB and 6 GB on the way.  Counting rejects such
+# orders up front.
 _MAX_ORDER = 2**31
 
 
@@ -68,30 +80,59 @@ def _require_countable(n: int) -> None:
         raise DomainError(f"counting requires an order below 2**31, got n={n}")
 
 
+# The sign flip of a Moebius byte: 1 and -1 (0xff) swap, 0 stays.
+_FLIP = bytes.maketrans(b"\x01\xff", b"\xff\x01")
+
+
 # One call reads at most three orders (bool's two halves and their shared
-# bound).  A table of order n takes 8n bytes: 32 MB for four at n = 10**6.
+# bound).  A table of order n takes n bytes: 4 MB for four at n = 10**6.
 @lru_cache(maxsize=4)
-def _mu_upto(limit: int) -> tuple[int, ...]:
-    """Sieved Moebius values; index d holds mu(d), and index 0 holds 0."""
+def _mu_upto(limit: int) -> memoryview:
+    """Sieved Moebius values; index d holds mu(d), and index 0 holds 0.
+
+    A byte sieve: each prime p flips the sign of its multiples in one
+    C-level translate, and p <= sqrt(limit) also zeroes the multiples of
+    p * p.  The table is a read-only view of signed bytes, shared by every
+    caller through the cache.
+    """
     _require_countable(limit)
-    mu = [1] * (limit + 1)
+    size = limit + 1
+    mu = bytearray(b"\x01") * size
     mu[0] = 0
-    is_composite = bytearray(limit + 1)
-    primes: list[int] = []
-    for i in range(2, limit + 1):
-        if not is_composite[i]:
-            primes.append(i)
-            mu[i] = -1
-        for p in primes:
-            ip = i * p
-            if ip > limit:
-                break
-            is_composite[ip] = 1
-            if i % p == 0:
-                mu[ip] = 0
-                break
-            mu[ip] = -mu[i]
-    return tuple(mu)
+    prime = bytearray(b"\x01") * size
+    root = isqrt(limit)
+    for p in range(2, root + 1):
+        if prime[p]:
+            square = p * p
+            prime[square::p] = bytes((limit - square) // p + 1)
+            mu[p::p] = mu[p::p].translate(_FLIP)
+            mu[square::square] = bytes(limit // square)
+    for p in compress(range(root + 1, size), prime[root + 1 :]):
+        mu[p::p] = mu[p::p].translate(_FLIP)
+    return memoryview(mu).cast("b").toreadonly()
+
+
+def _blocks(n: int, r: int, stop: int) -> Iterator[tuple[int, int, int]]:
+    """(weight, n // d, r // d) for each run d..e <= stop of equal quotients.
+
+    The runs tile [1, stop]; on each, n // d and r // d are constant, and
+    the weight is the sum of mu over the run.  Runs of weight 0 are
+    skipped.  Below sqrt(n) most runs hold one d; past it there are at
+    most 2 sqrt(n) + 2 sqrt(r) of them, for 0 <= r <= n.
+    """
+    mu = _mu_upto(n)
+    d = 1
+    while d <= stop:
+        N, R = n // d, r // d
+        e = n // N
+        if R and r // R < e:
+            e = r // R
+        if e > stop:
+            e = stop
+        weight = mu[d] if d == e else sum(mu[d : e + 1])
+        if weight:
+            yield weight, N, R
+        d = e + 1
 
 
 def _squarefree_divisors(h: int) -> list[tuple[int, int]]:
@@ -140,7 +181,7 @@ def _below(N: int, R: int, h: int, k: int) -> int:
     past R + 1, or just the floor sum up to min(N, R + 1) when J <= R + 1.
     At h/k = 1/1 the crossing never comes, and T is A(A + 1)/2 +
     (N - A)(R + 1) with A = min(N, R + 1).  Comparisons stand in for min():
-    T runs once per squarefree d <= n.
+    T runs once per run of _blocks.
     """
     if h == k:
         A = N if N <= R else R + 1
@@ -160,13 +201,14 @@ def _coprime_sum(n: int, r: int, h: int, k: int) -> int:
     the pairs that d divides are d times the pairs (i', j') with
     j' <= n // d and max(1, j' - r // d) <= i' <= j'h/k, since
     ceil((dj' - r)/d) = j' - r // d.  So the sum is that of
-    mu(d) * T(n // d, r // d) over d <= n.  T(N, R) is 0 unless some j <= N
-    has jh >= k, so d stops at n // ceil(k/h).
+    mu(d) * T(n // d, r // d) over d <= n, one T per run of _blocks.
+    T(N, R) is 0 unless some j <= N has jh >= k, so d stops at
+    n // ceil(k/h).
     """
     if h == 0:
         return 0
-    mu = islice(_mu_upto(n), n // -(-k // h) + 1)
-    return sum([s * _below(n // d, r // d, h, k) for d, s in enumerate(mu) if s])
+    blocks = _blocks(n, r, n // -(-k // h))
+    return sum([w * _below(N, R, h, k) for w, N, R in blocks])
 
 
 def phi_interval(h: int, i: int, l: int) -> int:
@@ -179,9 +221,10 @@ def phi_interval(h: int, i: int, l: int) -> int:
     return sum(s * (l // d - i // d) for d, s in _squarefree_divisors(h))
 
 
-def _check_even_halved(twice: int, what: str) -> int:
+def _check_even_halved(twice: int, what: str, *parts: object) -> int:
+    """Half of twice; what.format(*parts) names the sum if twice is odd."""
     if twice % 2 != 0:
-        raise RuntimeError(f"{what}: doubled sum {twice} is odd")
+        raise RuntimeError(f"{what.format(*parts)}: doubled sum {twice} is odd")
     return twice // 2
 
 
@@ -260,7 +303,7 @@ def g_rank_variants(n: int, m: int, x: Fraction) -> dict[str, int]:
             last = min(nd, -(-rd * k // (k - h)) - 1)
             inner = _floor_sum(last + 1, k, k - h, 0) + rd * (nd - last)
         twice += s * (rd * (2 * nd - rd - 1) - 2 * inner)
-    variants["moebius-sum"] = _check_even_halved(twice, f"gdiff rank n={n} m={m} x={x}")
+    variants["moebius-sum"] = _check_even_halved(twice, "gdiff rank n={} m={} x={}", n, m, x)
     return variants
 
 
@@ -291,7 +334,7 @@ def f_cardinality_variants(q: int, p: int) -> dict[str, int]:
     twice = 3 + sum(mu[d] * (p // d) * (2 * (q // d) - p // d) for d in range(1, q + 1))
     return {
         "moebius-sum": moebius_sum,
-        "moebius-sum-alt": _check_even_halved(twice, f"fnum cardinality alt q={q} p={p}"),
+        "moebius-sum-alt": _check_even_halved(twice, "fnum cardinality alt q={} p={}", q, p),
     }
 
 
@@ -300,9 +343,8 @@ def f_cardinality(q: int, p: int) -> int:
     if q < 1 or p < 1:
         raise DomainError(f"fnum cardinality requires q >= 1 and p >= 1, got q={q}, p={p}")
     p = min(p, q)  # the numerator bound is slack beyond q
-    mu = _mu_upto(q)
-    twice = 2 + sum(mu[d] * (2 * (q // d) - p // d) * (p // d + 1) for d in range(1, q + 1))
-    return _check_even_halved(twice, f"fnum cardinality q={q} p={p}")
+    twice = 2 + sum([w * (2 * Q - P) * (P + 1) for w, Q, P in _blocks(q, p, q)])
+    return _check_even_halved(twice, "fnum cardinality q={} p={}", q, p)
 
 
 def full_cardinality(n: int) -> int:

@@ -1,5 +1,6 @@
-from itertools import accumulate
+from itertools import accumulate, groupby
 import math
+import random
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -53,10 +54,65 @@ def test_moebius_rejects_nonpositive():
 
 
 def test_moebius_table_matches_single_values():
-    table = counting._mu_upto(1000)
-    assert len(table) == 1001
-    for d in range(1, 1001):
-        assert table[d] == moebius(d)
+    table = counting._mu_upto(10**4)
+    assert len(table) == 10**4 + 1 and table[0] == 0
+    assert list(table[1:]) == [moebius(d) for d in range(1, 10**4 + 1)]
+    table = counting._mu_upto(10**6)
+    assert len(table) == 10**6 + 1
+    for d in random.Random(21).sample(range(1, 10**6 + 1), 500):
+        assert table[d] == moebius(d), d
+
+
+def _runs(n, r, stop):
+    """(weight, n // d, r // d) per maximal run of equal quotients in [1, stop], d by d."""
+    mu = counting._mu_upto(n)
+    runs = groupby(range(1, stop + 1), key=lambda d: (n // d, r // d))
+    weighted = ((sum(mu[d] for d in run), N, R) for (N, R), run in runs)
+    return [block for block in weighted if block[0]]
+
+
+def test_blocks_tile_the_range_with_constant_quotients():
+    for n in [*range(1, 130), 997, 1000, 1024, 4096]:
+        for r in sorted({0, 1, n // 3, n // 2, n - 1, n}):
+            for stop in sorted({n, n // 2, n // 7} - {0}):
+                assert list(counting._blocks(n, r, stop)) == _runs(n, r, stop), (n, r, stop)
+
+
+def _coprime_sum_per_d(n, r, h, k):
+    """The coprime-count sum with one term per d: the reference for the blocked sum."""
+    if h == 0:
+        return 0
+    stop = n // -(-k // h)
+    terms = (moebius(d) * counting._below(n // d, r // d, h, k) for d in range(1, stop + 1))
+    return sum(terms)
+
+
+def _at_most(top):
+    """Pairs (a, b) with 0 <= b <= a <= top."""
+    return st.integers(0, top).flatmap(lambda a: st.tuples(st.just(a), st.integers(0, a)))
+
+
+# Any h/k with h <= k, a member of gdiff(n, n - r) or not.
+@settings(max_examples=100, deadline=None)
+@given(_at_most(3000), _at_most(10**6).filter(lambda kh: kh[0] > 0))
+@example((3000, 3000), (1, 1))
+@example((3000, 0), (2, 3))
+@example((2999, 1500), (10**6, 999_999))
+def test_blocked_coprime_sum_matches_the_per_d_sum(nr, kh):
+    (n, r), (k, h) = nr, kh
+    assert counting._coprime_sum(n, r, h, k) == _coprime_sum_per_d(n, r, h, k), (n, r, h, k)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 400))
+@example(1)
+@example(400)
+def test_blocked_f_cardinality_matches_the_per_d_formula(q):
+    mu = [0] + [moebius(d) for d in range(1, q + 1)]
+    for p in range(1, q + 3):
+        b = min(p, q)
+        twice = 2 + sum(mu[d] * (2 * (q // d) - b // d) * (b // d + 1) for d in range(1, q + 1))
+        assert f_cardinality(q, p) * 2 == twice, (q, p)
 
 
 def test_moebius_sieve_cache_is_bounded():

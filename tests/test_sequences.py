@@ -1,3 +1,4 @@
+import gc
 from itertools import islice
 import math
 import tracemalloc
@@ -103,6 +104,38 @@ def test_enumerate_respects_size_bound():
     with pytest.raises(DomainError):
         enumerate_sequence(SequenceSpec(K.FULL, 50), max_order=10)
     assert enumerate_sequence(SequenceSpec(K.FULL, 50), max_order=50)[0] == Fraction(0, 1)
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False])
+@pytest.mark.parametrize("fails", [False, True])
+@pytest.mark.parametrize(
+    "build, inner", [(enumerate_sequence, "_numerators"), (generate_sequence, "_terms")]
+)
+def test_list_builders_pause_the_collector_and_restore_it(monkeypatch, build, inner, fails, caller_enabled):
+    # The collector is off inside the build and back as the caller had it
+    # after a return or an error; one that the caller disabled stays off.
+    seen = []
+    real = getattr(sequences, inner)
+
+    def probe(*args):
+        seen.append(gc.isenabled())
+        if fails:
+            raise RuntimeError("probe")
+        return real(*args)
+
+    monkeypatch.setattr(sequences, inner, probe)
+    before = gc.isenabled()
+    (gc.enable if caller_enabled else gc.disable)()
+    try:
+        if fails:
+            with pytest.raises(RuntimeError, match="probe"):
+                build(SequenceSpec(K.FULL, 7))
+        else:
+            assert len(build(SequenceSpec(K.FULL, 7))) == 19
+        assert gc.isenabled() is caller_enabled
+    finally:
+        (gc.enable if before else gc.disable)()
+    assert seen and not any(seen)
 
 
 def _reference_scan(spec):
