@@ -19,16 +19,21 @@ after the O(n) C-level pass that sums the run weights, and reads no table
 but the Moebius values of _mu_upto.  The phi-sum variant of the gdiff size
 is the same sum at h/k = 1/1, where T has a closed form.
 
+Each call fetches one Moebius table, at the largest order it reads: a
+bool family's smaller piece, and its "moebius-product", read a prefix of
+the table of the larger piece.
+
 The published cross-check forms run per d on purpose, so that each
 compares a blocked sum with one that shares no run walk: "moebius-sum-alt"
 of fnum, "moebius-product" of bool, the "moebius-sum" gdiff rank,
-moebius_floor_sum and moebius_floor_square_sum.
+moebius_floor_sum and moebius_floor_square_sum.  They add one term per
+squarefree d, picked out by the nonzero entries of the table.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress, islice
+from itertools import compress
 from math import isqrt
 from typing import Iterator
 
@@ -68,7 +73,7 @@ def moebius(d: int) -> int:
     return result
 
 
-# A _mu_upto table takes 1 byte an entry, and building it about 3, so one of
+# A _mu_upto table takes 1 byte an entry, and sieving it about 3, so one of
 # order 2**31 would take 2 GB and 6 GB on the way.  Counting rejects such
 # orders up front.
 _MAX_ORDER = 2**31
@@ -82,45 +87,66 @@ def _require_countable(n: int) -> None:
 
 # The sign flip of a Moebius byte: 1 and -1 (0xff) swap, 0 stays.
 _FLIP = bytes.maketrans(b"\x01\xff", b"\xff\x01")
+# A prime flag as the XOR mask that flips a sign: 1 ^ 0xfe is 0xff, and back.
+_XOR_FLIP = bytes.maketrans(b"\x01", b"\xfe")
+# Primes p > limit // _FEW have fewer than _FEW multiples up to limit; they are
+# flipped _CHUNK primes at a time.  One XOR holds about 5 bytes a prime of the
+# chunk, so from limit = 8 * _CHUNK on the sieve peaks at 3 bytes an entry.
+_FEW = 8
+_CHUNK = 2**16
 
 
-# One call reads at most three orders (bool's two halves and their shared
-# bound).  A table of order n takes n bytes: 4 MB for four at n = 10**6.
+# One call reads one table, at its largest order; smaller orders read its
+# prefix.  A table of order n takes n bytes: 4 MB for four at n = 10**6.
 @lru_cache(maxsize=4)
 def _mu_upto(limit: int) -> memoryview:
     """Sieved Moebius values; index d holds mu(d), and index 0 holds 0.
 
-    A byte sieve: each prime p flips the sign of its multiples in one
-    C-level translate, and p <= sqrt(limit) also zeroes the multiples of
-    p * p.  The table is a read-only view of signed bytes, shared by every
-    caller through the cache.
+    A byte sieve.  Each prime p < cut = max(sqrt(limit), limit // _FEW) + 1
+    flips the sign of its multiples in one C-level translate.  A prime p >=
+    cut has j * p <= limit only for j <= limit // cut < _FEW, so for each
+    such j the multiples j * p of a chunk of primes, a stride-j slice, are
+    flipped at once by an XOR of two big ints with the prime flags as mask.
+    That is a sign flip only while every entry is 1 or -1, so the multiples
+    of each p * p, p <= sqrt(limit), are zeroed last.  Sieving takes about 3
+    bytes an entry at the peak.  The table is a read-only view of signed
+    bytes, shared by every caller through the cache.
     """
     _require_countable(limit)
     size = limit + 1
     mu = bytearray(b"\x01") * size
     mu[0] = 0
     prime = bytearray(b"\x01") * size
+    flags = memoryview(prime)  # compress reads the flags without a copy
     root = isqrt(limit)
     for p in range(2, root + 1):
         if prime[p]:
-            square = p * p
-            prime[square::p] = bytes((limit - square) // p + 1)
-            mu[p::p] = mu[p::p].translate(_FLIP)
-            mu[square::square] = bytes(limit // square)
-    for p in compress(range(root + 1, size), prime[root + 1 :]):
+            prime[p * p :: p] = bytes((limit - p * p) // p + 1)
+    cut = max(root, limit // _FEW) + 1
+    for p in compress(range(2, cut), flags[2:cut]):
         mu[p::p] = mu[p::p].translate(_FLIP)
+    for lo in range(cut, size, _CHUNK):
+        hi = lo + _CHUNK
+        mask = prime[lo:hi].translate(_XOR_FLIP)
+        for j in range(1, limit // lo + 1):
+            seg = mu[j * lo : j * hi : j]
+            count = len(seg)
+            flipped = int.from_bytes(seg, "little") ^ int.from_bytes(mask[:count], "little")
+            mu[j * lo : j * hi : j] = flipped.to_bytes(count, "little")
+    for p in compress(range(2, root + 1), flags[2 : root + 1]):
+        mu[p * p :: p * p] = bytes(limit // (p * p))
     return memoryview(mu).cast("b").toreadonly()
 
 
-def _blocks(n: int, r: int, stop: int) -> Iterator[tuple[int, int, int]]:
+def _blocks(mu: memoryview, n: int, r: int, stop: int) -> Iterator[tuple[int, int, int]]:
     """(weight, n // d, r // d) for each run d..e <= stop of equal quotients.
 
     The runs tile [1, stop]; on each, n // d and r // d are constant, and
-    the weight is the sum of mu over the run.  Runs of weight 0 are
-    skipped.  Below sqrt(n) most runs hold one d; past it there are at
-    most 2 sqrt(n) + 2 sqrt(r) of them, for 0 <= r <= n.
+    the weight is the sum over the run of mu, a _mu_upto table of order at
+    least stop.  Runs of weight 0 are skipped.  Below sqrt(n) most runs
+    hold one d; past it there are at most 2 sqrt(n) + 2 sqrt(r) of them,
+    for 0 <= r <= n.
     """
-    mu = _mu_upto(n)
     d = 1
     while d <= stop:
         N, R = n // d, r // d
@@ -194,20 +220,20 @@ def _below(N: int, R: int, h: int, k: int) -> int:
     return _floor_sum(top + 1, k, h, 0) - cut * (cut + 1) // 2
 
 
-def _coprime_sum(n: int, r: int, h: int, k: int) -> int:
+def _coprime_sum(mu: memoryview, n: int, r: int, h: int, k: int) -> int:
     """Sum over j <= n of the count of i coprime to j in [max(j - r, 1), jh/k].
 
     By Moebius inversion over the d dividing gcd(i, j), with d outermost:
     the pairs that d divides are d times the pairs (i', j') with
     j' <= n // d and max(1, j' - r // d) <= i' <= j'h/k, since
     ceil((dj' - r)/d) = j' - r // d.  So the sum is that of
-    mu(d) * T(n // d, r // d) over d <= n, one T per run of _blocks.
-    T(N, R) is 0 unless some j <= N has jh >= k, so d stops at
-    n // ceil(k/h).
+    mu(d) * T(n // d, r // d) over d <= n, one T per run of _blocks over
+    mu, a _mu_upto table of order at least n.  T(N, R) is 0 unless some
+    j <= N has jh >= k, so d stops at n // ceil(k/h).
     """
     if h == 0:
         return 0
-    blocks = _blocks(n, r, n // -(-k // h))
+    blocks = _blocks(mu, n, r, n // -(-k // h))
     return sum([w * _below(N, R, h, k) for w, N, R in blocks])
 
 
@@ -228,20 +254,27 @@ def _check_even_halved(twice: int, what: str, *parts: object) -> int:
     return twice // 2
 
 
-def _size(pieces: tuple[_Piece, ...]) -> int:
+def _table(pieces: tuple[_Piece, ...]) -> memoryview:
+    """The one Moebius table that these pieces read: that of the largest."""
+    return _mu_upto(max([n for n, _, _ in pieces]))
+
+
+def _size(pieces: tuple[_Piece, ...], mu: memoryview) -> int:
     """Members of the family that these pieces of `sequences._pieces` make up.
 
-    A piece gdiff(n', m') has |fnum(n', n' - m')| members, by the mirror;
-    the two pieces of bool share 1/2.
+    A piece gdiff(n', m') has |fnum(n', n' - m')| members, by the mirror,
+    counted over mu, a table of order at least n'; the two pieces of bool
+    share 1/2.
     """
-    return sum(f_cardinality(n, n - m) for n, m, _ in pieces) + 1 - len(pieces)
+    return sum(_f_size(mu, n, n - m) for n, m, _ in pieces) + 1 - len(pieces)
 
 
 def cardinality(spec: SequenceSpec) -> int:
     """Size of a family of any of the six kinds, by one Moebius sum per piece."""
     # bool's pieces are smaller than n, so their tables would not catch it.
     _require_countable(spec.n)
-    return _size(_pieces(spec))
+    pieces = _pieces(spec)
+    return _size(pieces, _table(pieces))
 
 
 def cardinality_variants(spec: SequenceSpec) -> tuple[str, dict[str, int]]:
@@ -260,7 +293,8 @@ def g_cardinality_variants(n: int, m: int) -> dict[str, int]:
     """Both closed forms of the gdiff family size, keyed by variant name."""
     moebius_sum = g_cardinality(n, m)
     # 0/1 plus the members in (0, 1/1]; the difference bound is slack for m <= 0.
-    return {"phi-sum": 1 + _coprime_sum(n, n - max(m, 0), 1, 1), "moebius-sum": moebius_sum}
+    phi_sum = 1 + _coprime_sum(_mu_upto(n), n, n - max(m, 0), 1, 1)
+    return {"phi-sum": phi_sum, "moebius-sum": moebius_sum}
 
 
 def g_cardinality(n: int, m: int) -> int:
@@ -273,7 +307,7 @@ def g_rank(n: int, m: int, x: Fraction) -> int:
     if not member(SequenceSpec(_GDIFF, n, m), x):
         raise DomainError(f"{x} has no rank in the gdiff family n={n}, m={m}")
     m = max(m, 0)
-    return _coprime_sum(n, n - m, x.num, x.den)
+    return _coprime_sum(_mu_upto(n), n, n - m, x.num, x.den)
 
 
 def g_rank_variants(n: int, m: int, x: Fraction) -> dict[str, int]:
@@ -288,11 +322,10 @@ def g_rank_variants(n: int, m: int, x: Fraction) -> dict[str, int]:
     variants = {"phi-sum": g_rank(n, m, x)}
     m = max(m, 0)
     h, k = x.num, x.den
+    mu = _mu_upto(n)
     twice = 2
     # Past d = n - m, rd is 0 and so is the term.
-    for d, s in enumerate(islice(_mu_upto(n), n - m + 1)):
-        if not s:
-            continue
+    for d in compress(range(1, n - m + 1), mu[1:]):
         nd, rd = n // d, (n - m) // d
         # The sum of min(rd, floor(j(k - h)/k)) over j <= nd.  The floor never
         # falls, and stays below rd up to the crossing ceil(rd k/(k - h)) - 1;
@@ -302,7 +335,7 @@ def g_rank_variants(n: int, m: int, x: Fraction) -> dict[str, int]:
         if h < k:
             last = min(nd, -(-rd * k // (k - h)) - 1)
             inner = _floor_sum(last + 1, k, k - h, 0) + rd * (nd - last)
-        twice += s * (rd * (2 * nd - rd - 1) - 2 * inner)
+        twice += mu[d] * (rd * (2 * nd - rd - 1) - 2 * inner)
     variants["moebius-sum"] = _check_even_halved(twice, "gdiff rank n={} m={} x={}", n, m, x)
     return variants
 
@@ -310,19 +343,23 @@ def g_rank_variants(n: int, m: int, x: Fraction) -> dict[str, int]:
 def rank(spec: SequenceSpec, x: Fraction) -> int:
     """Zero-based index of x in any of the six families, without enumeration.
 
-    x is carried back into its piece of `sequences._pieces` and ranked there
-    by g_rank, from the top if the piece's map M has det M = -1; past 1/2
-    the bool family adds the first half, which shares 1/2 with the second.
+    x is carried back into its piece of `sequences._pieces`, checked to be a
+    member there, and ranked by the coprime-count sum, from the top if the
+    piece's map M has det M = -1; past 1/2 the bool family adds the first
+    half, which shares 1/2 with the second.
     """
     _require_member(spec, x)
     _require_countable(spec.n)  # as in cardinality
     pieces = _pieces(spec)
+    mu = _table(pieces)
     n, m, M = piece = _piece(pieces, x.num, x.den, -1)
-    index = g_rank(n, m, _reduced(*_carried_back(M, x.num, x.den)))
+    y = _reduced(*_carried_back(M, x.num, x.den))
+    _require_member(SequenceSpec(_GDIFF, n, m), y)
+    index = _coprime_sum(mu, n, n - m, y.num, y.den)
     if M.det < 0:
-        index = _size((piece,)) - 1 - index
+        index = _size((piece,), mu) - 1 - index
     if piece is not pieces[0]:
-        index += _size(pieces[:1]) - 1
+        index += _size(pieces[:1], mu) - 1
     return index
 
 
@@ -331,7 +368,8 @@ def f_cardinality_variants(q: int, p: int) -> dict[str, int]:
     moebius_sum = f_cardinality(q, p)
     p = min(p, q)
     mu = _mu_upto(q)
-    twice = 3 + sum(mu[d] * (p // d) * (2 * (q // d) - p // d) for d in range(1, q + 1))
+    squarefree = compress(range(1, q + 1), mu[1:])
+    twice = 3 + sum(mu[d] * (p // d) * (2 * (q // d) - p // d) for d in squarefree)
     return {
         "moebius-sum": moebius_sum,
         "moebius-sum-alt": _check_even_halved(twice, "fnum cardinality alt q={} p={}", q, p),
@@ -342,8 +380,12 @@ def f_cardinality(q: int, p: int) -> int:
     """Size of the fnum family of order q with numerator bound p."""
     if q < 1 or p < 1:
         raise DomainError(f"fnum cardinality requires q >= 1 and p >= 1, got q={q}, p={p}")
-    p = min(p, q)  # the numerator bound is slack beyond q
-    twice = 2 + sum([w * (2 * Q - P) * (P + 1) for w, Q, P in _blocks(q, p, q)])
+    return _f_size(_mu_upto(q), q, min(p, q))  # the numerator bound is slack beyond q
+
+
+def _f_size(mu: memoryview, q: int, p: int) -> int:
+    """Size of fnum(q, p), 1 <= p <= q, by the blocked Moebius sum over mu."""
+    twice = 2 + sum([w * (2 * Q - P) * (P + 1) for w, Q, P in _blocks(mu, q, p, q)])
     return _check_even_halved(twice, "fnum cardinality q={} p={}", q, p)
 
 
@@ -356,8 +398,9 @@ def boolean_cardinality_variants(n: int, m: int) -> dict[str, int]:
     """Both closed forms of the bool family size."""
     half_sum = boolean_cardinality(n, m)
     p = min(m, n - m)
-    mu = _mu_upto(p)
-    product = 2 + sum(mu[d] * (m // d) * ((n - m) // d) for d in range(1, p + 1))
+    mu = _mu_upto(max(m, n - m))  # the table of the larger piece, which half_sum read
+    squarefree = compress(range(1, p + 1), mu[1:])
+    product = 2 + sum(mu[d] * (m // d) * ((n - m) // d) for d in squarefree)
     return {"half-sum": half_sum, "moebius-product": product}
 
 
@@ -371,7 +414,7 @@ def moebius_floor_sum(t: int) -> int:
     if t < 1:
         raise DomainError(f"t must be positive, got {t}")
     mu = _mu_upto(t)
-    return sum(mu[d] * (t // d) for d in range(1, t + 1))
+    return sum(mu[d] * (t // d) for d in compress(range(1, t + 1), mu[1:]))
 
 
 def moebius_floor_square_sum(t: int) -> int:
@@ -379,7 +422,7 @@ def moebius_floor_square_sum(t: int) -> int:
     if t < 1:
         raise DomainError(f"t must be positive, got {t}")
     mu = _mu_upto(t)
-    return sum(mu[d] * (t // d) ** 2 for d in range(1, t + 1))
+    return sum(mu[d] * (t // d) ** 2 for d in compress(range(1, t + 1), mu[1:]))
 
 
 def central_identity_check(t: int) -> bool:

@@ -1,6 +1,7 @@
-from itertools import accumulate, groupby
+from itertools import accumulate, compress, groupby
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -63,6 +64,64 @@ def test_moebius_table_matches_single_values():
         assert table[d] == moebius(d), d
 
 
+_FLIP = bytes.maketrans(b"\x01\xff", b"\xff\x01")
+
+
+def _reference_sieve(limit):
+    """The translate sieve with one Python step per prime: the reference for _mu_upto."""
+    size = limit + 1
+    mu = bytearray(b"\x01") * size
+    mu[0] = 0
+    prime = bytearray(b"\x01") * size
+    root = math.isqrt(limit)
+    for p in range(2, root + 1):
+        if prime[p]:
+            square = p * p
+            prime[square::p] = bytes((limit - square) // p + 1)
+            mu[p::p] = mu[p::p].translate(_FLIP)
+            mu[square::square] = bytes(limit // square)
+    for p in compress(range(root + 1, size), prime[root + 1 :]):
+        mu[p::p] = mu[p::p].translate(_FLIP)
+    return memoryview(mu).cast("b").toreadonly()
+
+
+def test_moebius_sieve_matches_the_reference_sieve():
+    # Orders up to 600 cross both cuts, sqrt(n) and n // 8, and every last
+    # stride j.  At 600064 the primes past the cut span nine chunks, and
+    # the second and the fourth end just before a prime.
+    sieve = counting._mu_upto.__wrapped__
+    for limit in [*range(1, 601), 600_064]:
+        assert sieve(limit) == _reference_sieve(limit), limit
+
+
+@pytest.mark.parametrize("limit", [10**6, 2 * 10**6])
+def test_moebius_sieve_peaks_near_three_bytes_an_entry(limit):
+    tracemalloc.start()
+    try:
+        counting._mu_upto.__wrapped__(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * limit, peak / limit
+
+
+@pytest.mark.parametrize(
+    "count, value",
+    [
+        (counting.cardinality, 1459036941),
+        (lambda spec: counting.cardinality_variants(spec)[1]["moebius-product"], 1459036941),
+        # 12345/20003 lies past 1/2, in the smaller piece.
+        (lambda spec: counting.rank(spec, Fraction(12345, 20003)), 1157341046),
+    ],
+    ids=["card", "moebius-product", "second-half-rank"],
+)
+def test_a_bool_count_sieves_one_table(count, value):
+    # The pieces have orders 60000 and 40000; the smaller reads a prefix.
+    counting._mu_upto.cache_clear()
+    assert count(SequenceSpec(K.BOOLEAN, 10**5, 40_000)) == value
+    assert counting._mu_upto.cache_info().misses == 1
+
+
 def _runs(n, r, stop):
     """(weight, n // d, r // d) per maximal run of equal quotients in [1, stop], d by d."""
     mu = counting._mu_upto(n)
@@ -75,7 +134,8 @@ def test_blocks_tile_the_range_with_constant_quotients():
     for n in [*range(1, 130), 997, 1000, 1024, 4096]:
         for r in sorted({0, 1, n // 3, n // 2, n - 1, n}):
             for stop in sorted({n, n // 2, n // 7} - {0}):
-                assert list(counting._blocks(n, r, stop)) == _runs(n, r, stop), (n, r, stop)
+                blocks = counting._blocks(counting._mu_upto(n), n, r, stop)
+                assert list(blocks) == _runs(n, r, stop), (n, r, stop)
 
 
 def _coprime_sum_per_d(n, r, h, k):
@@ -100,7 +160,8 @@ def _at_most(top):
 @example((2999, 1500), (10**6, 999_999))
 def test_blocked_coprime_sum_matches_the_per_d_sum(nr, kh):
     (n, r), (k, h) = nr, kh
-    assert counting._coprime_sum(n, r, h, k) == _coprime_sum_per_d(n, r, h, k), (n, r, h, k)
+    blocked = counting._coprime_sum(counting._mu_upto(n), n, r, h, k)
+    assert blocked == _coprime_sum_per_d(n, r, h, k), (n, r, h, k)
 
 
 @settings(max_examples=50, deadline=None)
