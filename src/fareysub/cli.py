@@ -14,12 +14,11 @@ import json
 import os
 import sys
 from functools import lru_cache
-from itertools import islice
 from typing import Sequence
 
 from . import counting, maps, neighbors
 from .fraction import DomainError, Fraction, parse_fraction
-from .sequences import SequenceKind, SequenceSpec, _term_pairs
+from .sequences import SequenceKind, SequenceSpec, _term_runs
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,14 +61,31 @@ _GEN_BATCH = 1024
 def cmd_gen(args: argparse.Namespace) -> int:
     spec = SequenceSpec(SequenceKind(args.kind), args.n, _require_m(args))
     head, term, sep = _GEN_LAYOUT[args.format]
-    pairs = _term_pairs(spec)
+    runs = _term_runs(spec)
+    formats: dict[int, str] = {}
+
+    def formatted(run: list[int]) -> str:
+        """The terms of an int run as text, with one % on a format cached per size."""
+        size = len(run) // 2
+        fmt = formats.get(size)
+        if fmt is None:
+            fmt = formats[size] = sep.join([term] * size)
+        return fmt % tuple(run)
+
+    # Terms stream out a run at a time, but the first _GEN_BATCH terms, or
+    # the whole sequence, are computed before anything is written, so a
+    # failure there leaves stdout empty.
+    first: list[int] = []
+    for run in runs:
+        first += run
+        if len(first) >= 2 * _GEN_BATCH:
+            break
     write = sys.stdout.write
-    # Terms stream out in batches; the first batch is computed before
-    # anything is written, so a failure leaves stdout empty.
-    count = 0
-    while batch := list(islice(pairs, _GEN_BATCH)):
-        write((sep if count else head) + sep.join(map(term.__mod__, batch)))
-        count += len(batch)
+    write(head + formatted(first))
+    count = len(first) // 2
+    for run in runs:
+        write(sep + formatted(run))
+        count += len(run) // 2
     if args.format == "plain":
         write("\n")
     elif args.format == "json":
@@ -265,7 +281,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flushed here, so that a reader that has closed the pipe is met
+        # below and not in the interpreter's final flush.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe and got every byte it asked for.  What
+        # is left in the buffer goes to the null device, so that the final
+        # flush at exit stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except UsageError as err:
         print(f"fareysub: error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -20,9 +20,9 @@ everywhere except at the ends and at 1/2 in bool.  It solves for the gdiff
 neighbor before x in that piece and takes the one after from one gdiff
 step, sequences._g_step, which certifies it as generation does: the new
 term is a member and its mediant with x is not.  The step is written
-twice, as _g_step for these queries and inside the generator
-sequences._g_walk for generation, each the faster form for its caller
-(see the sequences module); the tests pin the two to each other.
+twice, as _g_step for these queries and inside the run loop of the
+generator sequences._g_walk for generation, each the faster form for its
+caller (see the sequences module); the tests pin the two to each other.
 
 g_next_from_pair and g_prev_from_pair guard their input with the O(1)
 adjacency certificate, computed on the ints: a < b are consecutive iff both

@@ -17,8 +17,12 @@ the integer key h*n*n // k, which is strictly increasing on F_n because two
 distinct members differ by at least 1/n**2.  The generators below produce
 the same sequences through one closed-form recurrence and are the ones to
 use at scale; the oracle is the trust anchor they are tested against.
-They run on plain int pairs, one gdiff step at a time, and build each
-Fraction once at the end, without a gcd, in _terms.
+They walk on plain ints in runs: the generator _g_walk fills a flat list
+[h0, k0, h1, k1, ...] of up to _RUN terms in one loop and yields it whole,
+each run is carried over by its piece's map with two list comprehensions
+(_term_runs), and _terms builds the run's Fractions at C level, without a
+gcd.  A term thus crosses no generator of its own; cli gen formats the
+int runs directly.
 
 The terms of one call share their int objects: up to order
 _SHARED_INTS_MAX_ORDER, _terms takes each numerator and denominator from
@@ -26,17 +30,18 @@ one table range(n + 1) built for the call, so an int above 256, which
 CPython would otherwise make afresh for every term, exists once.  A kept
 term then costs 56-57 bytes by tracemalloc at n = 700 (a 48-byte Fraction
 and its list slot) against 82-99 bytes with private ints.  Above the bound
-no table is built, so a stream such as next(iterate_f(10**9, m)) stays O(1)
-in time and memory; a full family that large could not be materialised
-anyway.
+no table is built, and a walk yields its seed pair alone before any step,
+so a stream such as next(iterate_f(10**9, m)) stays O(1) in time and
+memory; a full family that large could not be materialised anyway.
 
-The gdiff step is written twice, on purpose: inside the generator _g_walk,
+The gdiff step is written twice, on purpose: inside the loop of _g_walk,
 which generation runs once per term, and as the plain function _g_step,
 which the O(1) neighbor and pair queries call once.  Each is the faster
-form for its own caller: on CPython 3.11 a generator built for one step
-costs about 1.6 times the plain call, and a call per generated term slows
-generation by about a fifth.  Both make the same checks, and the tests pin
-them to each other.
+form for its own caller: on CPython 3.11 a walk started for one step
+costs about 2.6 times the plain call, even with runs of one term, and a
+_g_step call per term in the run loop makes the walk about 1.6 times and
+generate_sequence about 1.3 times as slow.  Both make the same checks, and
+the tests pin them to each other.
 
 `_pieces` is the one table of how every family is a gdiff family, or two,
 carried over by a unimodular map M, which reverses the order exactly when
@@ -49,10 +54,11 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, repeat
+from operator import itemgetter
 from typing import Iterator
 
-from .fraction import IDENTITY_MAP, MIRROR_MAP, DomainError, Fraction, UnimodularMap, _reduced
+from .fraction import IDENTITY_MAP, MIRROR_MAP, DomainError, Fraction, UnimodularMap, _reduced, _reduced_run
 
 #: Default guard for the quadratic enumeration oracle.
 MAX_ENUM_ORDER = 10_000
@@ -64,6 +70,10 @@ MAX_ENUM_ORDER = 10_000
 # memory, and they keep private ints; what the bound protects is a stream
 # such as iterate_f(10**9, m), which must not pay O(n) before its first term.
 _SHARED_INTS_MAX_ORDER = 2**16
+
+# Terms per run of the generation walk _g_walk after its seed run.  Read
+# when a walk starts, so a test may set it as low as 1.
+_RUN = 1024
 
 
 class SequenceKind(str, Enum):
@@ -257,14 +267,16 @@ def halfsequences(n: int, m: int) -> tuple[list[Fraction], list[Fraction]]:
     return left, generate_sequence(SequenceSpec(_RIGHT, n, m))
 
 
-def _g_walk(n: int, m: int, ah: int, ak: int, bh: int, bk: int) -> Iterator[tuple[int, int]]:
-    """The terms of gdiff(n, m) from a = ah/ak on, through b = bh/bk.
+def _g_walk(n: int, m: int, ah: int, ak: int, bh: int, bk: int) -> Iterator[list[int]]:
+    """The terms of gdiff(n, m) from a = ah/ak on, through b = bh/bk, in runs.
 
     a and b must be consecutive in the family; a < b walks up, a > b walks
     down.  The same step serves both directions: the term beyond b is
     c = q*b - a with q the floor of min((a.den + n)/b.den,
-    (a.den - a.num + n - m)/(b.den - b.num)).  Yields int pairs (h, k), a
-    and b first, and ends after yielding 0/1 or 1/1.
+    (a.den - a.num + n - m)/(b.den - b.num)).  Yields flat int lists
+    [h0, k0, h1, k1, ...]: first a and b alone, so that a stream has its
+    first term before any step, then runs of up to _RUN terms each, read
+    when the walk starts.  The last run ends with 0/1 or 1/1.
 
     det(b, q*b - a) = det(a, b) for every integer q, so once det(a, b) is
     +-1 every term is reduced and adjacent to the one before; that is what
@@ -273,32 +285,37 @@ def _g_walk(n: int, m: int, ah: int, ak: int, bh: int, bk: int) -> Iterator[tupl
     the simplest fraction between them, is not.  With the final endpoint
     check this bounds the walk even if q were wrong.  A failure can only be
     a bug here and raises RuntimeError, which, unlike assert, survives
-    python -O.
+    python -O; no run holding a term that failed is yielded.
     """
     sign = ak * bh - ah * bk
     if sign != 1 and sign != -1:
         raise RuntimeError(f"{ah}/{ak} and {bh}/{bk} are not adjacent (det {sign})")
-    yield ah, ak
-    yield bh, bk
+    size = _RUN
+    yield [ah, ak, bh, bk]
     if not 0 < bh < bk:
         return
     d = n - m
     while True:
-        q = (ak + n) // bk
-        r = (ak - ah + d) // (bk - bh)
-        if r < q:
-            q = r
-        ch = q * bh - ah
-        ck = q * bk - ak
-        if ck > n or ck - ch > d or (bk + ck <= n and bk + ck - bh - ch <= d):
-            raise RuntimeError(f"gdiff({n}, {m}) step from {ah}/{ak}, {bh}/{bk} gave {ch}/{ck}")
-        if not 0 < ch < ck:
-            break
-        yield ch, ck
-        ah, ak, bh, bk = bh, bk, ch, ck
-    if ck != 1 or ch not in (0, 1):
-        raise RuntimeError(f"gdiff({n}, {m}) walk left [0/1, 1/1] at {ch}/{ck}")
-    yield ch, ck
+        run: list[int] = []
+        append = run.append
+        for _ in repeat(None, size):
+            q = (ak + n) // bk
+            r = (ak - ah + d) // (bk - bh)
+            if r < q:
+                q = r
+            ch = q * bh - ah
+            ck = q * bk - ak
+            if ck > n or ck - ch > d or (bk + ck <= n and bk + ck - bh - ch <= d):
+                raise RuntimeError(f"gdiff({n}, {m}) step from {ah}/{ak}, {bh}/{bk} gave {ch}/{ck}")
+            append(ch)
+            append(ck)
+            if not 0 < ch < ck:
+                if ck != 1 or ch not in (0, 1):
+                    raise RuntimeError(f"gdiff({n}, {m}) walk left [0/1, 1/1] at {ch}/{ck}")
+                yield run
+                return
+            ah, ak, bh, bk = bh, bk, ch, ck
+        yield run
 
 
 def _g_step(n: int, m: int, ah: int, ak: int, bh: int, bk: int) -> tuple[int, int] | None:
@@ -329,13 +346,13 @@ def _g_step(n: int, m: int, ah: int, ak: int, bh: int, bk: int) -> tuple[int, in
     return ch, ck
 
 
-def _g_up(n: int, m: int) -> Iterator[tuple[int, int]]:
-    """gdiff(n, m) ascending as int pairs, seeded with 0/1 and 1/min(n-m+1, n)."""
+def _g_up(n: int, m: int) -> Iterator[list[int]]:
+    """gdiff(n, m) ascending in int runs, seeded with 0/1 and 1/min(n-m+1, n)."""
     return _g_walk(n, m, 0, 1, 1, min(n - m + 1, n))
 
 
-def _g_down(n: int, m: int) -> Iterator[tuple[int, int]]:
-    """gdiff(n, m) descending as int pairs, seeded with 1/1 and (n-1)/n."""
+def _g_down(n: int, m: int) -> Iterator[list[int]]:
+    """gdiff(n, m) descending in int runs, seeded with 1/1 and (n-1)/n."""
     return _g_walk(n, m, 1, 1, n - 1, n)
 
 
@@ -378,10 +395,12 @@ def _piece(pieces: tuple[_Piece, ...], h: int, k: int, sign: int) -> _Piece:
     return pieces[-1] if 2 * h > k or (2 * h == k and sign > 0) else pieces[0]
 
 
-def _carried(M: UnimodularMap, pairs: Iterator[tuple[int, int]]) -> Iterator[tuple[int, int]]:
-    """M applied to every pair; a call of its own, so each walk binds its own M."""
+def _carry(M: UnimodularMap, run: list[int]) -> None:
+    """M applied in place to every term of the int run [h0, k0, h1, k1, ...]."""
     a, b, c, d = M.a, M.b, M.c, M.d
-    return ((a * h + b * k, c * h + d * k) for h, k in pairs)
+    hs, ks = run[0::2], run[1::2]
+    run[0::2] = [a * h + b * k for h, k in zip(hs, ks)]
+    run[1::2] = [c * h + d * k for h, k in zip(hs, ks)]
 
 
 def _carried_back(M: UnimodularMap, h: int, k: int) -> tuple[int, int]:
@@ -391,48 +410,56 @@ def _carried_back(M: UnimodularMap, h: int, k: int) -> tuple[int, int]:
     return det * (d * h - b * k), det * (a * k - c * h)
 
 
-def _term_pairs(spec: SequenceSpec) -> Iterator[tuple[int, int]]:
-    """The terms of spec, ascending, as int pairs (h, k); nothing is materialised.
+def _term_runs(spec: SequenceSpec) -> Iterator[list[int]]:
+    """The terms of spec, ascending, in flat int runs [h0, k0, h1, k1, ...].
 
     Each piece of _pieces is walked up, or down if its map reverses the
-    order, and carried over by its map.  A later piece starts on the last
-    term of the one before, where the downward walk is checked to end.
+    order, and each run is carried over by the piece's map.  A later piece
+    starts on the last term of the one before, where the downward walk is
+    checked to end, so its first run drops that term.
     """
-    walks = []
-    for i, (n, m, M) in enumerate(_pieces(spec)):
-        walk = _g_down(n, m) if M.det < 0 else _g_up(n, m)
-        if M is not IDENTITY_MAP:
-            walk = _carried(M, walk)
-        walks.append(islice(walk, 1, None) if i else walk)
-    return chain(*walks)
+    drop = 0
+    for n, m, M in _pieces(spec):
+        for run in _g_down(n, m) if M.det < 0 else _g_up(n, m):
+            if M is not IDENTITY_MAP:
+                _carry(M, run)
+            del run[:drop]
+            drop = 0
+            yield run
+        drop = 2
 
 
-def _terms(spec: SequenceSpec) -> Iterator[Fraction]:
-    """The terms of spec, ascending, as Fractions; the one place they are built.
+def _terms(spec: SequenceSpec) -> Iterator[list[Fraction]]:
+    """The terms of spec, ascending, in runs of Fractions; the one place they are built.
 
     Every term h/k has 0 <= h <= k <= spec.n, so up to
-    _SHARED_INTS_MAX_ORDER the pair indexes a table range(n + 1) built once
-    for the call and the terms share its ints.  Above it the pair's own
-    ints are kept and no table is built.
+    _SHARED_INTS_MAX_ORDER a run's ints are looked up, in one C call, in a
+    table range(n + 1) built once for the call, and the terms share them.
+    Above it the run's own ints are kept and no table is built.
     """
-    pairs = _term_pairs(spec)
+    runs = _term_runs(spec)
     if spec.n > _SHARED_INTS_MAX_ORDER:
-        return (_reduced(h, k) for h, k in pairs)
+        for run in runs:
+            yield _reduced_run(run[0::2], run[1::2])
+        return
     ints = tuple(range(spec.n + 1))
-    return (_reduced(ints[h], ints[k]) for h, k in pairs)
+    for run in runs:
+        # A run holds at least one term, so itemgetter returns a tuple.
+        shared = itemgetter(*run)(ints)
+        yield _reduced_run(shared[0::2], shared[1::2])
 
 
 def iterate_g(n: int, m: int) -> Iterator[Fraction]:
     """Yield the gdiff family (k - h <= n - m) ascending from 0/1 to 1/1.
 
     Seeded with 0/1 and 1/min(n-m+1, n), then advanced by the floor-min
-    next-term recurrence on consecutive pairs.  m may be negative; the
-    difference bound is then slack and the output equals the full family.
-    The terms share their int objects up to order _SHARED_INTS_MAX_ORDER,
-    and above it the first term comes out at once (see the module
-    docstring).
+    next-term recurrence on consecutive pairs, a run of terms at a time.
+    m may be negative; the difference bound is then slack and the output
+    equals the full family.  The terms share their int objects up to order
+    _SHARED_INTS_MAX_ORDER, and above it the first term comes out at once
+    (see the module docstring).
     """
-    return _terms(SequenceSpec(_GDIFF, n, m))
+    return chain.from_iterable(_terms(SequenceSpec(_GDIFF, n, m)))
 
 
 def iterate_f(n: int, m: int) -> Iterator[Fraction]:
@@ -443,7 +470,7 @@ def iterate_f(n: int, m: int) -> Iterator[Fraction]:
     out at once.  The terms share their int objects up to order
     _SHARED_INTS_MAX_ORDER, as in iterate_g.
     """
-    return _terms(SequenceSpec(_FNUM, n, m))
+    return chain.from_iterable(_terms(SequenceSpec(_FNUM, n, m)))
 
 
 def generate_boolean(n: int, m: int) -> list[Fraction]:
@@ -455,9 +482,12 @@ def generate_boolean(n: int, m: int) -> list[Fraction]:
 def generate_sequence(spec: SequenceSpec) -> list[Fraction]:
     """Recurrence-based counterpart of enumerate_sequence for any spec.
 
-    Up to order _SHARED_INTS_MAX_ORDER the terms share their int objects,
-    so each kept term costs a Fraction and a list slot, 56-57 bytes at
-    n = 700 against 82-99 with an int pair of its own (see the module
-    docstring).
+    The list grows by whole runs of _terms.  Up to order
+    _SHARED_INTS_MAX_ORDER the terms share their int objects, so each kept
+    term costs a Fraction and a list slot, 56-57 bytes at n = 700 against
+    82-99 with an int pair of its own (see the module docstring).
     """
-    return list(_terms(spec))
+    out: list[Fraction] = []
+    for run in _terms(spec):
+        out += run
+    return out

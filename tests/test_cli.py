@@ -1,10 +1,12 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -21,8 +23,9 @@ from fareysub import (
     generate_sequence,
     parse_fraction,
 )
-from fareysub import cli, counting
+from fareysub import cli, counting, sequences
 from fareysub.cli import main
+from fareysub.verify import _main_sweep
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -105,6 +108,114 @@ def test_gen_streams_the_same_bytes(capsys, kind, fmt):
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert out == _reference_gen(spec, fmt)
+
+
+def _stdout(argv):
+    """The exit code and stdout of one in-process call."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def test_gen_is_the_same_at_every_run_size(monkeypatch):
+    # Runs of one to three terms put a run boundary next to every term, and
+    # the first write then joins many runs.  Each argv is parsed once and
+    # handed to cmd_gen at every size: parsing would take most of the time.
+    default = sequences._RUN
+    for kind in SequenceKind:
+        for spec in _main_sweep(kind, 39):
+            m = [] if spec.m is None else ["-m", str(spec.m)]
+            for fmt in ("plain", "json", "csv"):
+                argv = ["gen", "--kind", kind.value, "-n", str(spec.n), *m, "--format", fmt]
+                args = cli._parser().parse_args(argv)
+                outputs = []
+                for size in (default, 1, 2, 3):
+                    monkeypatch.setattr(sequences, "_RUN", size)
+                    with contextlib.redirect_stdout(io.StringIO()) as out:
+                        assert cli.cmd_gen(args) == 0
+                    outputs.append(out.getvalue())
+                assert outputs[1:] == outputs[:1] * 3, argv
+
+
+# SHA-256 of stdout, recorded from the term-at-a-time generator that runs
+# replaced; each output crosses many runs and output batches.
+_GEN_DIGESTS = [
+    ("gen --kind full -n 1500 --format plain", "7af850662ef70972a6a59081aba4e0e707d5c3583fe8ca6a49393e0b4914e636"),
+    ("gen --kind gdiff -n 2000 -m 700 --format csv", "424b826569fa1e6cd0d14d42f08f1240448ebf1ce2c6a6f108825409b090da3f"),
+    ("gen --kind fnum -n 1800 -m 600 --format json", "d5040de2c60e63e04adc185c6dc8aa8d54b416dc06e988f3570dd3bea22f464e"),
+    ("gen --kind bool -n 2500 -m 1100 --format plain", "62a279e4722da404c684450b5b6db5751d95adf425ad3ce1ca5affd2d64586a4"),
+    ("gen --kind bool-left -n 3000 -m 1900 --format csv", "6a3112d8775fbf7298543477b433a2bff3dd4e672484289d592e2310be575d86"),
+    ("gen --kind bool-right -n 2400 -m 700 --format json", "798855acefeaba0f87c48aa3fb723f35b514dd1429e95f5b788334fd8e1b6940"),
+]
+
+
+@pytest.mark.parametrize("command, digest", _GEN_DIGESTS, ids=[c for c, _ in _GEN_DIGESTS])
+def test_gen_output_beyond_the_corpus_is_pinned(command, digest):
+    code, out = _stdout(command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class _Stdout(io.StringIO):
+    """stdout that notes, at each write, how many terms gen had been handed."""
+
+    def __init__(self, handed):
+        super().__init__()
+        self.handed = handed
+        self.seen = []
+
+    def write(self, text):
+        self.seen.append(self.handed[0])
+        return super().write(text)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 1024])
+def test_gen_writes_nothing_before_a_whole_batch(monkeypatch, size):
+    # Nothing is written before _GEN_BATCH terms, or all of them, exist.
+    handed = [0]
+
+    def counted(spec):
+        for run in term_runs(spec):
+            handed[0] += len(run) // 2
+            yield run
+
+    term_runs = cli._term_runs
+    monkeypatch.setattr(cli, "_term_runs", counted)
+    monkeypatch.setattr(sequences, "_RUN", size)
+    for kind, n, m in [("full", 60, 0), ("bool", 60, 17), ("bool-left", 90, 30), ("fnum", 9, 4), ("gdiff", 80, 3)]:
+        handed[0] = 0
+        stdout = _Stdout(handed)
+        with contextlib.redirect_stdout(stdout):
+            assert main(["gen", "--kind", kind, "-n", str(n), "-m", str(m)]) == 0
+        total = handed[0]
+        assert stdout.seen[0] >= min(cli._GEN_BATCH, total), (kind, n, m)
+        assert stdout.getvalue().count(" ") + 1 == total
+
+
+def test_gen_leaves_stdout_empty_when_the_first_batch_fails(capsys, monkeypatch):
+    def failing(spec):
+        yield from islice(term_runs(spec), 3)
+        raise RuntimeError("walk")
+
+    term_runs = cli._term_runs
+    monkeypatch.setattr(cli, "_term_runs", failing)
+    monkeypatch.setattr(sequences, "_RUN", 100)
+    with pytest.raises(RuntimeError, match="walk"):
+        main(["gen", "--kind", "full", "-n", "60"])
+    assert capsys.readouterr().out == ""
+
+
+def test_gen_into_a_closed_pipe_exits_zero_and_silent():
+    # The reader takes a few bytes and closes the pipe long before the 1.2M
+    # terms of F_2000 are written.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "fareysub.cli", "gen", "--kind", "full", "-n", "2000"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(10) == b"0/1 1/2000"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, stderr) == (0, b"")
 
 
 @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])

@@ -1,6 +1,8 @@
 import gc
+import inspect
 from itertools import islice
 import math
+import textwrap
 import tracemalloc
 
 import pytest
@@ -23,11 +25,11 @@ from fareysub import (
     parse_fraction,
     sequence_neighbors,
 )
-from fareysub.sequences import _SHARED_INTS_MAX_ORDER, _g_down, _g_step, _g_up, _g_walk, _pieces, _term_pairs
+from fareysub.sequences import _SHARED_INTS_MAX_ORDER, _g_down, _g_step, _g_up, _g_walk, _pieces, _term_runs
 from fareysub import sequences
 from fareysub.fraction import _reduced
-from fareysub.sequences import _carried, _carried_back, _numerators
-from fareysub.verify import _main_sweep
+from fareysub.sequences import _carry, _carried_back, _numerators
+from fareysub.verify import _main_sweep, cached_sequence
 from strategies import family_members, valid_ms
 
 K = SequenceKind
@@ -283,16 +285,46 @@ def test_boolean_left_right_extraction(oracle):
             assert right == [x for x in whole if x >= half]
 
 
+def _pairs(runs):
+    """The int pairs (h, k) of a stream of flat runs [h0, k0, h1, k1, ...], lazily."""
+    return (pair for run in runs for pair in zip(run[0::2], run[1::2]))
+
+
 def _descending(spec):
     """The terms of spec from its top end down: the kernel walked the other way."""
     n, m = spec.n, spec.m
     if spec.kind is K.GDIFF:
-        return _g_down(n, m)
+        return _pairs(_g_down(n, m))
     if spec.kind is K.FNUM:
-        return ((k - h, k) for h, k in _g_up(n, n - m))
+        return ((k - h, k) for h, k in _pairs(_g_up(n, n - m)))
     if spec.kind is K.BOOLEAN_LEFT:
-        return ((k - h, 2 * k - h) for h, k in _g_up(n - m, n - 2 * m))
-    return ((k, 2 * k - h) for h, k in _g_down(m, 2 * m - n))
+        return ((k - h, 2 * k - h) for h, k in _pairs(_g_up(n - m, n - 2 * m)))
+    return ((k, 2 * k - h) for h, k in _pairs(_g_down(m, 2 * m - n)))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_generation_is_the_same_at_every_run_size(monkeypatch, size):
+    # Runs of one to three terms put a run boundary next to every term: the
+    # seed pair, each piece's last term and bool's shared 1/2 among them.
+    monkeypatch.setattr(sequences, "_RUN", size)
+    for kind in K:
+        for spec in _main_sweep(kind, 39):
+            want = cached_sequence(spec)
+            assert generate_sequence(spec) == want, spec
+            if kind is K.GDIFF:
+                assert list(iterate_g(spec.n, spec.m)) == want, spec
+            elif kind is K.FNUM:
+                assert list(iterate_f(spec.n, spec.m)) == want, spec
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 1024])
+def test_the_walk_yields_the_seed_pair_then_runs_of_the_set_size(monkeypatch, size):
+    monkeypatch.setattr(sequences, "_RUN", size)
+    for n, m in [(1, 0), (2, 0), (9, 4), (40, 0), (60, 17)]:
+        for walk in (_g_up(n, m), _g_down(n, m)):
+            lengths = [len(run) // 2 for run in walk]
+            assert lengths[0] == 2 and all(length == size for length in lengths[1:-1]), (n, m)
+            assert 1 <= lengths[-1] <= size or len(lengths) == 1, (n, m)
 
 
 def _neighbor_chain(spec, start, steps, direction):
@@ -328,7 +360,7 @@ def test_both_ends_match_neighbor_chains_at_order_1e9(kind, m):
     elif kind is K.FNUM:
         head = [(f.num, f.den) for f in islice(iterate_f(n, m), 50)]
     else:
-        head = list(islice(_term_pairs(spec), 50))
+        head = list(islice(_pairs(_term_runs(spec)), 50))
     tail = list(islice(_descending(spec), 50))
     first = Fraction(1, 2) if kind is K.BOOLEAN_RIGHT else Fraction(0, 1)
     last = Fraction(1, 2) if kind is K.BOOLEAN_LEFT else Fraction(1, 1)
@@ -393,17 +425,60 @@ def test_kernel_rejects_a_non_adjacent_pair():
 
 
 def test_kernel_walk_stops_at_the_endpoints():
-    assert list(_g_walk(6, 4, 4, 5, 5, 6)) == [(4, 5), (5, 6), (1, 1)]
-    assert list(_g_walk(6, 4, 5, 6, 1, 1)) == [(5, 6), (1, 1)]
-    assert list(_g_walk(6, 4, 1, 2, 1, 3)) == [(1, 2), (1, 3), (0, 1)]
-    assert list(_g_walk(6, 4, 1, 3, 0, 1)) == [(1, 3), (0, 1)]
+    assert list(_pairs(_g_walk(6, 4, 4, 5, 5, 6))) == [(4, 5), (5, 6), (1, 1)]
+    assert list(_pairs(_g_walk(6, 4, 5, 6, 1, 1))) == [(5, 6), (1, 1)]
+    assert list(_pairs(_g_walk(6, 4, 1, 2, 1, 3))) == [(1, 2), (1, 3), (0, 1)]
+    assert list(_pairs(_g_walk(6, 4, 1, 3, 0, 1))) == [(1, 3), (0, 1)]
     assert _g_step(6, 4, 4, 5, 5, 6) == (1, 1) and _g_step(6, 4, 5, 6, 1, 1) is None
     assert _g_step(6, 4, 1, 2, 1, 3) == (0, 1) and _g_step(6, 4, 1, 3, 0, 1) is None
 
 
+def _with_fault(function, faults):
+    """A copy of function compiled from its source with each (old, new) text swapped in."""
+    source = textwrap.dedent(inspect.getsource(function))
+    for old, new in faults:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    namespace = dict(vars(sequences))
+    exec(source, namespace)
+    return namespace[function.__name__]
+
+
+# Faults in q, the only way to reach the step certificate: from any seed
+# with det +-1 the two bounds give the next member.
+_Q_FAULTS = {
+    # c leaves the family; its membership check fires.
+    "max of the bounds": ([("if r < q:", "if r > q:")], (6, 4, 0, 1, 1, 3)),
+    # c = 2/3 is a member one short of 3/5, and their mediant, 3/5, is one.
+    "q one short": (
+        [
+            ("q = (ak + n) // bk", "q = (ak + n) // bk - 1"),
+            ("r = (ak - ah + d) // (bk - bh)", "r = (ak - ah + d) // (bk - bh) - 1"),
+        ],
+        (6, 4, 1, 3, 1, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(_Q_FAULTS))
+def test_walk_and_step_certify_each_step(fault):
+    faults, (n, m, *seed) = _Q_FAULTS[fault]
+    with pytest.raises(RuntimeError, match="gave"):
+        list(_with_fault(_g_walk, faults)(n, m, *seed))
+    with pytest.raises(RuntimeError, match="gave"):
+        _with_fault(_g_step, faults)(n, m, *seed)
+
+
 def _walk_step(n, m, a, b):
-    """The term _g_walk yields after a and b, or None if it stops there."""
-    return next(islice(_g_walk(n, m, *a, *b), 2, None), None)
+    """The term _g_walk yields after a and b, or None if it stops there.
+
+    Runs of one term, so that the walk takes that one step alone.
+    """
+    size, sequences._RUN = sequences._RUN, 1
+    try:
+        return next(islice(_pairs(_g_walk(n, m, *a, *b)), 2, None), None)
+    finally:
+        sequences._RUN = size
 
 
 def test_step_equals_the_walk_on_every_consecutive_pair():
@@ -468,14 +543,30 @@ def test_piece_matrices_are_the_catalog_matrices():
     assert set(_PIECE_MAPS) == catalog_ids | {id(IDENTITY_MAP)}
 
 
+def _carried(matrix, h, k):
+    """The pair h/k carried by matrix, as the run carry carries it."""
+    run = [h, k]
+    _carry(matrix, run)
+    return tuple(run)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(-(10**9), 10**9), st.integers(-(10**9), 10**9))
 def test_carried_back_inverts_carried_for_every_piece_map(h, k):
     assert len(_PIECE_MAPS) == 4
     for matrix in _PIECE_MAPS.values():
-        (image,) = _carried(matrix, iter([(h, k)]))
+        image = _carried(matrix, h, k)
         assert _carried_back(matrix, *image) == (h, k), matrix
-        (back,) = _carried(matrix, iter([_carried_back(matrix, h, k)]))
+        back = _carried(matrix, *_carried_back(matrix, h, k))
         assert back == (h, k), matrix
         inverse = matrix.inverse()
-        assert _carried_back(matrix, h, k) == next(_carried(inverse, iter([(h, k)]))), matrix
+        assert _carried_back(matrix, h, k) == _carried(inverse, h, k), matrix
+
+
+def test_the_run_carry_maps_every_term_of_a_run():
+    # Each term of a run is carried on its own, whatever its place in the run.
+    pairs = [(0, 1), (1, 7), (2, 9), (3, 5), (1, 1)]
+    for matrix in _PIECE_MAPS.values():
+        run = [i for pair in pairs for i in pair]
+        _carry(matrix, run)
+        assert list(_pairs([run])) == [_carried(matrix, h, k) for h, k in pairs], matrix
