@@ -244,9 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_rank)
     p_rank.add_argument("fraction", help="reduced fraction h/k in the sequence")
     p_rank.add_argument("--format", choices=["plain", "json"], default="plain")
-    # Accepted and ignored so that existing command lines still parse: rank
-    # enumerates nothing, so there is no bound to set.
-    p_rank.add_argument("--max-order", type=int, default=None, help=argparse.SUPPRESS)
     p_rank.set_defaults(func=cmd_rank)
 
     p_map = sub.add_parser("map", help="apply a registered monotone map")

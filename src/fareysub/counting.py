@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress
-from math import isqrt
+from math import isqrt, prod
 from typing import Iterator
 
 from .fraction import DomainError, Fraction, _reduced
@@ -47,30 +47,21 @@ from .sequences import (
     _Piece,
     _piece,
     _pieces,
+    _prime_factors,
     _require_member,
     member,
 )
 
 
 def moebius(d: int) -> int:
-    """Moebius value of a single integer via trial-division factorization.
+    """Moebius value of a single integer, from the oracle's factorizer.
 
     Independent of the sieve below on purpose: each can check the other.
     """
     if d < 1:
         raise DomainError(f"moebius is defined on positive integers, got {d}")
-    result = 1
-    p = 2
-    while p * p <= d:
-        if d % p == 0:
-            d //= p
-            if d % p == 0:
-                return 0
-            result = -result
-        p += 1 if p == 2 else 2
-    if d > 1:
-        result = -result
-    return result
+    primes = _prime_factors(d)
+    return 0 if prod(primes) != d else (-1) ** len(primes)
 
 
 # A _mu_upto table takes 1 byte an entry, and sieving it about 3, so one of
@@ -161,21 +152,6 @@ def _blocks(mu: memoryview, n: int, r: int, stop: int) -> Iterator[tuple[int, in
         d = e + 1
 
 
-def _squarefree_divisors(h: int) -> list[tuple[int, int]]:
-    """Pairs (d, mu(d)) over the squarefree divisors d of h, by trial division."""
-    divisors = [(1, 1)]
-    p = 2
-    while p * p <= h:
-        if h % p == 0:
-            while h % p == 0:
-                h //= p
-            divisors += [(d * p, -s) for d, s in divisors]
-        p += 1 if p == 2 else 2
-    if h > 1:
-        divisors += [(d * h, -s) for d, s in divisors]
-    return divisors
-
-
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
     """Sum of floor((a*i + b) / m) over 0 <= i < n, for n >= 0, m >= 1, a, b >= 0.
 
@@ -238,13 +214,16 @@ def _coprime_sum(mu: memoryview, n: int, r: int, h: int, k: int) -> int:
 
 
 def phi_interval(h: int, i: int, l: int) -> int:
-    """Count of j in [max(i, 1), l] that are coprime to h; 0 if empty."""
+    """Count of j in [max(i, 1), l] coprime to h, by inclusion-exclusion; 0 if empty."""
     if h < 1:
         raise DomainError(f"phi_interval requires h >= 1, got {h}")
     i = max(i, 1) - 1
     if i >= l:
         return 0
-    return sum(s * (l // d - i // d) for d, s in _squarefree_divisors(h))
+    divisors = [(1, 1)]
+    for p in _prime_factors(h):
+        divisors += [(d * p, -s) for d, s in divisors]
+    return sum(s * (l // d - i // d) for d, s in divisors)
 
 
 def _check_even_halved(twice: int, what: str, *parts: object) -> int:

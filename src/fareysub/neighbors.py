@@ -3,8 +3,8 @@
 For the gdiff family the neighbor of h/k is found by solving a congruence
 for the unique starting point x0 in a window of h consecutive integers,
 forming y0 from it, and walking t* mediant steps along the ray
-(x0 + t*h) / (y0 + t*k).  t* is the floor of an exact rational minimum and
-is frequently negative.  Every other family is carried to a gdiff family
+(x0 + t*h) / (y0 + t*k).  t* is the smaller of two floors, and is
+frequently negative.  Every other family is carried to a gdiff family
 and back by the maps of `sequences._pieces`.
 
 Queries run on plain int pairs: each public function checks membership
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 from .fraction import HALF, IDENTITY_MAP, DomainError, Fraction, _reduced, make_fraction
 from .sequences import SequenceKind, SequenceSpec, _admit, _carried_back, _g_step, _require_member
-from .sequences import _BOOL, _FNUM, _GDIFF, _LEFT, _RIGHT, _Piece, _piece, _pieces
+from .sequences import _BOOL, _FNUM, _GDIFF, _LEFT, _RIGHT, _g_end, _Piece, _piece, _pieces
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,16 +71,6 @@ def _require_interior(x: Fraction) -> None:
         raise DomainError(f"{x} is an endpoint and has no two-sided neighbors")
 
 
-def _floor_min(num_a: int, den_a: int, num_b: int, den_b: int) -> int:
-    """floor(min(num_a/den_a, num_b/den_b)) for positive denominators.
-
-    The minimum is taken over exact rationals and only the chosen one floored.
-    """
-    if num_b * den_a < num_a * den_b:
-        return num_b // den_b
-    return num_a // den_a
-
-
 def _g_pair(n: int, m: int, h: int, k: int, sign: int) -> tuple[int, int]:
     """The neighbor p/q of the interior member h/k of gdiff(n, m), m >= 0.
 
@@ -96,7 +86,11 @@ def _g_pair(n: int, m: int, h: int, k: int, sign: int) -> tuple[int, int]:
     y0, rem = divmod(k * x0 - sign, h)
     if rem != 0:
         raise RuntimeError(f"k*x0 - {sign} is not divisible by h for x={h}/{k}, x0={x0}")
-    t = _floor_min(n - m + x0 - y0, k - h, n - y0, k)
+    # t* is the smaller of two floors; every denominator is positive.
+    t = (n - m + x0 - y0) // (k - h)
+    u = (n - y0) // k
+    if u < t:
+        t = u
     p, q = x0 + t * h, y0 + t * k
     if not 0 <= p <= q:
         raise RuntimeError(f"gdiff({n}, {m}) neighbor of {h}/{k} left [0/1, 1/1] at {p}/{q}")
@@ -106,7 +100,7 @@ def _g_pair(n: int, m: int, h: int, k: int, sign: int) -> tuple[int, int]:
 def _g_neighbor(n: int, m: int, h: int, k: int, sign: int) -> tuple[int, int]:
     """_g_pair extended to the ends: the term after 0/1 and the one before 1/1."""
     if k == 1:
-        return (n - 1, n) if h else (1, min(n - m + 1, n))
+        return _g_end(n, m, h)
     return _g_pair(n, m, h, k, sign)
 
 
@@ -178,8 +172,10 @@ def g_unit_fraction_neighbors(n: int, m: int, k: int) -> tuple[Fraction, Fractio
         raise DomainError(f"unit-fraction neighbors require n > 1 and k > 1, got n={n}, k={k}")
     _require_g_interior(n, m, Fraction(1, k))
     m = max(m, 0)
-    q = _floor_min(n - m - 1, k - 1, n - 1, k)
-    r = _floor_min(n - m + 1, k - 1, n + 1, k)
+    q, u = (n - m - 1) // (k - 1), (n - 1) // k
+    q = u if u < q else q
+    r, v = (n - m + 1) // (k - 1), (n + 1) // k
+    r = v if v < r else r
     return make_fraction(q, k * q + 1), make_fraction(r, k * r - 1)
 
 

@@ -346,14 +346,9 @@ def _g_step(n: int, m: int, ah: int, ak: int, bh: int, bk: int) -> tuple[int, in
     return ch, ck
 
 
-def _g_up(n: int, m: int) -> Iterator[list[int]]:
-    """gdiff(n, m) ascending in int runs, seeded with 0/1 and 1/min(n-m+1, n)."""
-    return _g_walk(n, m, 0, 1, 1, min(n - m + 1, n))
-
-
-def _g_down(n: int, m: int) -> Iterator[list[int]]:
-    """gdiff(n, m) descending in int runs, seeded with 1/1 and (n-1)/n."""
-    return _g_walk(n, m, 1, 1, n - 1, n)
+def _g_end(n: int, m: int, h: int) -> tuple[int, int]:
+    """The term of gdiff(n, m) after 0/1 (h = 0) or before 1/1 (h = 1)."""
+    return (n - 1, n) if h else (1, min(n - m + 1, n))
 
 
 # gdiff onto the bool halves: thm_gdual_to_left and thm_g_to_right.
@@ -413,14 +408,15 @@ def _carried_back(M: UnimodularMap, h: int, k: int) -> tuple[int, int]:
 def _term_runs(spec: SequenceSpec) -> Iterator[list[int]]:
     """The terms of spec, ascending, in flat int runs [h0, k0, h1, k1, ...].
 
-    Each piece of _pieces is walked up, or down if its map reverses the
-    order, and each run is carried over by the piece's map.  A later piece
-    starts on the last term of the one before, where the downward walk is
-    checked to end, so its first run drops that term.
+    Each piece of _pieces is walked from _g_end, up or, if its map reverses
+    the order, down, and each run is carried over by the piece's map.  A
+    later piece starts on the last term of the one before, where the
+    downward walk is checked to end, so its first run drops that term.
     """
     drop = 0
     for n, m, M in _pieces(spec):
-        for run in _g_down(n, m) if M.det < 0 else _g_up(n, m):
+        h = 1 if M.det < 0 else 0
+        for run in _g_walk(n, m, h, 1, *_g_end(n, m, h)):
             if M is not IDENTITY_MAP:
                 _carry(M, run)
             del run[:drop]
@@ -452,8 +448,8 @@ def _terms(spec: SequenceSpec) -> Iterator[list[Fraction]]:
 def iterate_g(n: int, m: int) -> Iterator[Fraction]:
     """Yield the gdiff family (k - h <= n - m) ascending from 0/1 to 1/1.
 
-    Seeded with 0/1 and 1/min(n-m+1, n), then advanced by the floor-min
-    next-term recurrence on consecutive pairs, a run of terms at a time.
+    Seeded with 0/1 and the term _g_end gives after it, then advanced by the
+    floor-min next-term recurrence on consecutive pairs, a run at a time.
     m may be negative; the difference bound is then slack and the output
     equals the full family.  The terms share their int objects up to order
     _SHARED_INTS_MAX_ORDER, and above it the first term comes out at once

@@ -351,8 +351,9 @@ def test_rank_beyond_the_enumeration_bound(capsys):
     argv = ("-n", "20000", "-m", "9000", "9000/17999")
     assert run(capsys, "rank", "--kind", "bool-right", *argv)[:2] == (0, "1\n")
     assert run(capsys, "rank", "--kind", "bool", *argv)[:2] == (0, "35566118\n")
-    # --max-order no longer bounds anything but is still accepted.
-    argv = ("rank", "--kind", "fnum", "-n", "20000", "-m", "3", "1/1", "--max-order", "10")
+    # rank enumerates nothing, so it takes no --max-order: the flag is a usage error.
+    argv = ("rank", "--kind", "fnum", "-n", "20000", "-m", "3", "1/1")
+    assert run(capsys, *argv, "--max-order", "10")[:2] == (1, "")
     assert run(capsys, *argv)[:2] == (0, "43331\n")
 
 

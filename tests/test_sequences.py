@@ -25,7 +25,7 @@ from fareysub import (
     parse_fraction,
     sequence_neighbors,
 )
-from fareysub.sequences import _SHARED_INTS_MAX_ORDER, _g_down, _g_step, _g_up, _g_walk, _pieces, _term_runs
+from fareysub.sequences import _SHARED_INTS_MAX_ORDER, _g_end, _g_step, _g_walk, _pieces, _term_runs
 from fareysub import sequences
 from fareysub.fraction import _reduced
 from fareysub.sequences import _carry, _carried_back, _numerators
@@ -288,6 +288,16 @@ def test_boolean_left_right_extraction(oracle):
 def _pairs(runs):
     """The int pairs (h, k) of a stream of flat runs [h0, k0, h1, k1, ...], lazily."""
     return (pair for run in runs for pair in zip(run[0::2], run[1::2]))
+
+
+def _g_up(n, m):
+    """gdiff(n, m) ascending in int runs, from 0/1 and the term after it."""
+    return _g_walk(n, m, 0, 1, *_g_end(n, m, 0))
+
+
+def _g_down(n, m):
+    """gdiff(n, m) descending in int runs, from 1/1 and the term before it."""
+    return _g_walk(n, m, 1, 1, *_g_end(n, m, 1))
 
 
 def _descending(spec):
