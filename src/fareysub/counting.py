@@ -2,31 +2,29 @@
 
 Every formula is evaluated in exact integer arithmetic.  Sums with a 1/2
 factor are computed as twice the sum, checked for evenness, and halved.
-Each scalar count is computed once, by one closed form: a cardinality is
-the fnum Moebius sum over the pieces of `sequences._pieces`, and a rank is
-the coprime-count sum.  The other published closed forms are in the
-`*_variants` functions, which `verify` compares with the oracle and
-`fareysub card --format json` lists and compares with each other;
-`cardinality_variants` picks those of any family.
 
-The production sums, the coprime-count sum of a rank and the fnum sum of
-a cardinality, are sums of mu(d) * F(n // d, r // d) over d.  Both
+One kernel counts, _coprime_sum: the members of gdiff(n, n - r) in
+(0, h/k] are counted by the sum of mu(d) * T(n // d, r // d) over d.  Both
 quotients are constant on O(sqrt n) runs of d, which _blocks walks: each
-run adds its weight, the sum of mu over the run, times one F.  In the
-coprime-count sum F is T(n // d, r // d), one Euclid-like floor sum (the
-floor_sum of the AtCoder Library), so a rank takes O(sqrt(n) log k) steps
-after the O(n) C-level pass that sums the run weights, and reads no table
-but the Moebius values of _mu_upto.  The phi-sum variant of the gdiff size
-is the same sum at h/k = 1/1, where T has a closed form.
+run adds its weight, the sum of mu over the run, times one T, a
+Euclid-like floor sum (the floor_sum of the AtCoder Library).  So a rank,
+the kernel at the member carried back into its piece of
+`sequences._pieces`, takes O(sqrt(n) log k) steps after the O(n) C-level
+pass that sums the run weights.  A cardinality is the kernel at h/k = 1/1,
+where T has a closed form, summed over the pieces.
 
 Each call fetches one Moebius table, at the largest order it reads: a
 bool family's smaller piece, and its "moebius-product", read a prefix of
 the table of the larger piece.
 
-The published cross-check forms run per d on purpose, so that each
-compares a blocked sum with one that shares no run walk: "moebius-sum-alt"
-of fnum, "moebius-product" of bool, the "moebius-sum" gdiff rank,
-moebius_floor_sum and moebius_floor_square_sum.  They add one term per
+The other published closed forms are in the `*_variants` functions, which
+`verify` compares with the oracle and `fareysub card --format json` lists
+and compares with each other; `cardinality_variants` picks those of any
+family.  Beside the kernel value each lists forms that run per d on
+purpose, reading the table but never _blocks: "moebius-sum-alt" of fnum
+and, through the mirror, "moebius-sum" of gdiff, both _per_d_size;
+"moebius-product" of bool; and the "moebius-sum" gdiff rank.  So do
+moebius_floor_sum and moebius_floor_square_sum.  Each adds one term per
 squarefree d, picked out by the nonzero entries of the table.
 """
 
@@ -40,6 +38,7 @@ from typing import Iterator
 from .fraction import DomainError, Fraction, _reduced
 from .sequences import (
     _BOOL,
+    _FNUM,
     _FULL,
     _GDIFF,
     SequenceSpec,
@@ -241,15 +240,15 @@ def _table(pieces: tuple[_Piece, ...]) -> memoryview:
 def _size(pieces: tuple[_Piece, ...], mu: memoryview) -> int:
     """Members of the family that these pieces of `sequences._pieces` make up.
 
-    A piece gdiff(n', m') has |fnum(n', n' - m')| members, by the mirror,
-    counted over mu, a table of order at least n'; the two pieces of bool
-    share 1/2.
+    A piece gdiff(n', m') is 0/1 plus its members in (0, 1/1], which the
+    kernel counts over mu, a table of order at least n'.  The two pieces of
+    bool share 1/2, the image of 0/1, so 0/1 is added once in all.
     """
-    return sum(_f_size(mu, n, n - m) for n, m, _ in pieces) + 1 - len(pieces)
+    return 1 + sum([_coprime_sum(mu, n, n - m, 1, 1) for n, m, _ in pieces])
 
 
 def cardinality(spec: SequenceSpec) -> int:
-    """Size of a family of any of the six kinds, by one Moebius sum per piece."""
+    """Size of a family of any of the six kinds, by the kernel at 1/1 per piece."""
     # bool's pieces are smaller than n, so their tables would not catch it.
     _require_countable(spec.n)
     pieces = _pieces(spec)
@@ -269,11 +268,13 @@ def cardinality_variants(spec: SequenceSpec) -> tuple[str, dict[str, int]]:
 
 
 def g_cardinality_variants(n: int, m: int) -> dict[str, int]:
-    """Both closed forms of the gdiff family size, keyed by variant name."""
-    moebius_sum = g_cardinality(n, m)
-    # 0/1 plus the members in (0, 1/1]; the difference bound is slack for m <= 0.
-    phi_sum = 1 + _coprime_sum(_mu_upto(n), n, n - max(m, 0), 1, 1)
-    return {"phi-sum": phi_sum, "moebius-sum": moebius_sum}
+    """Both closed forms of the gdiff family size, keyed by variant name.
+
+    "phi-sum" is the kernel; "moebius-sum" is _per_d_size at the mirror
+    image fnum(n, n - m) (lemma_g_to_f), with m slack below 0.
+    """
+    phi_sum = g_cardinality(n, m)
+    return {"phi-sum": phi_sum, "moebius-sum": _per_d_size(_mu_upto(n), n, n - max(m, 0))}
 
 
 def g_cardinality(n: int, m: int) -> int:
@@ -343,29 +344,27 @@ def rank(spec: SequenceSpec, x: Fraction) -> int:
 
 
 def f_cardinality_variants(q: int, p: int) -> dict[str, int]:
-    """Both Moebius closed forms of the fnum family size."""
+    """Both Moebius closed forms of the fnum family size: the kernel and _per_d_size."""
     moebius_sum = f_cardinality(q, p)
-    p = min(p, q)
-    mu = _mu_upto(q)
-    squarefree = compress(range(1, q + 1), mu[1:])
-    twice = 3 + sum(mu[d] * (p // d) * (2 * (q // d) - p // d) for d in squarefree)
-    return {
-        "moebius-sum": moebius_sum,
-        "moebius-sum-alt": _check_even_halved(twice, "fnum cardinality alt q={} p={}", q, p),
-    }
+    return {"moebius-sum": moebius_sum, "moebius-sum-alt": _per_d_size(_mu_upto(q), q, min(p, q))}
 
 
 def f_cardinality(q: int, p: int) -> int:
-    """Size of the fnum family of order q with numerator bound p."""
+    """Size of the fnum family of order q with numerator bound p, by the kernel."""
     if q < 1 or p < 1:
         raise DomainError(f"fnum cardinality requires q >= 1 and p >= 1, got q={q}, p={p}")
-    return _f_size(_mu_upto(q), q, min(p, q))  # the numerator bound is slack beyond q
+    return cardinality(SequenceSpec(_FNUM, q, p))
 
 
-def _f_size(mu: memoryview, q: int, p: int) -> int:
-    """Size of fnum(q, p), 1 <= p <= q, by the blocked Moebius sum over mu."""
-    twice = 2 + sum([w * (2 * Q - P) * (P + 1) for w, Q, P in _blocks(mu, q, p, q)])
-    return _check_even_halved(twice, "fnum cardinality q={} p={}", q, p)
+def _per_d_size(mu: memoryview, q: int, p: int) -> int:
+    """|fnum(q, p)|, 1 <= p <= q, by the published sum over squarefree d <= p.
+
+    (3 + the sum of mu(d) * (p // d) * (2(q // d) - p // d)) / 2, for mu a
+    table of order at least p; each term past p would be 0.
+    """
+    squarefree = compress(range(1, p + 1), mu[1:])
+    twice = 3 + sum(mu[d] * (p // d) * (2 * (q // d) - p // d) for d in squarefree)
+    return _check_even_halved(twice, "fnum cardinality alt q={} p={}", q, p)
 
 
 def full_cardinality(n: int) -> int:

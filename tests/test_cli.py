@@ -487,6 +487,27 @@ def test_card_json_for_every_kind(capsys, kind):
 
 
 @pytest.mark.parametrize("kind", [kind.value for kind in SequenceKind])
+def test_card_json_catches_a_wrong_run_weight(capsys, monkeypatch, kind):
+    # Each json size pair is the kernel, which walks _blocks, beside a per-d
+    # form, which does not; so one wrong run weight splits every pair.
+    blocks = counting._blocks
+
+    def skewed(*args):
+        runs = blocks(*args)
+        weight, N, R = next(runs)
+        yield weight + 1, N, R
+        yield from runs
+
+    monkeypatch.setattr(counting, "_blocks", skewed)
+    m_args = [] if kind == "full" else ["-m", "12"]
+    spec = SequenceSpec(SequenceKind(kind), 30, 12 if m_args else None)
+    _, variants = counting.cardinality_variants(spec)
+    assert len(set(variants.values())) == 2, variants
+    with pytest.raises(RuntimeError, match="variants disagree"):
+        main(["card", "--kind", kind, "-n", "30", *m_args, "--format", "json"])
+
+
+@pytest.mark.parametrize("kind", [kind.value for kind in SequenceKind])
 def test_plain_card_prints_the_json_cardinality_without_variants(capsys, monkeypatch, kind):
     argvs = []
     for n in range(1, 41):

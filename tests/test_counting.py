@@ -174,6 +174,9 @@ def test_blocked_f_cardinality_matches_the_per_d_formula(q):
         b = min(p, q)
         twice = 2 + sum(mu[d] * (2 * (q // d) - b // d) * (b // d + 1) for d in range(1, q + 1))
         assert f_cardinality(q, p) * 2 == twice, (q, p)
+        # The per-d form, for fnum and for gdiff(q, q - p), its mirror image.
+        assert f_cardinality_variants(q, p)["moebius-sum-alt"] * 2 == twice, (q, p)
+        assert g_cardinality_variants(q, q - p)["moebius-sum"] * 2 == twice, (q, p)
 
 
 def test_moebius_sieve_cache_is_bounded():
