@@ -3,8 +3,8 @@
 Subcommands: gen, neighbors, card, rank, map, verify.  Exit codes are a
 stable contract: 0 success, 1 usage error, 2 domain error (parameters or
 fractions outside a sequence, an order too large to count or to fit in
-memory), 3 verification failure.  Results go to
-standard output, diagnostics to standard error.
+memory), 3 verification failure (a check that raises included).  Results
+go to standard output, diagnostics to standard error.
 """
 
 from __future__ import annotations
@@ -37,11 +37,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _require_m(args: argparse.Namespace) -> int:
+def _spec(args: argparse.Namespace) -> SequenceSpec:
+    """The sequence that --kind, -n and -m name; every kind but full requires -m."""
     kind = SequenceKind(args.kind)
     if args.m is None and kind is not SequenceKind.FULL:
         raise UsageError(f"kind {kind.value!r} requires -m")
-    return 0 if args.m is None else args.m
+    return SequenceSpec(kind, args.n, 0 if args.m is None else args.m)
 
 
 def _spec_metadata(spec: SequenceSpec) -> dict:
@@ -59,7 +60,7 @@ _GEN_BATCH = 1024
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    spec = SequenceSpec(SequenceKind(args.kind), args.n, _require_m(args))
+    spec = _spec(args)
     head, term, sep = _GEN_LAYOUT[args.format]
     runs = _term_runs(spec)
     formats: dict[int, str] = {}
@@ -95,7 +96,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_neighbors(args: argparse.Namespace) -> int:
-    spec = SequenceSpec(SequenceKind(args.kind), args.n, _require_m(args))
+    spec = _spec(args)
     x = _parse_fraction_arg(args.fraction)
     result = neighbors.sequence_neighbors(spec, x)
     if result.predecessor is None or result.successor is None:
@@ -113,7 +114,7 @@ def cmd_neighbors(args: argparse.Namespace) -> int:
 
 
 def cmd_card(args: argparse.Namespace) -> int:
-    spec = SequenceSpec(SequenceKind(args.kind), args.n, _require_m(args))
+    spec = _spec(args)
     if args.format != "json":
         print(counting.cardinality(spec))
         return EXIT_OK
@@ -130,7 +131,7 @@ def cmd_card(args: argparse.Namespace) -> int:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    spec = SequenceSpec(SequenceKind(args.kind), args.n, _require_m(args))
+    spec = _spec(args)
     x = _parse_fraction_arg(args.fraction)
     gdiff = spec.kind is SequenceKind.GDIFF
     if args.format != "json":
@@ -188,10 +189,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
     selected = [name for name in verify.SUITES if chosen[name]] or list(verify.SUITES)
     # One part per task, in print order. Each worker fills its own caches,
     # and neither the pool nor a worker outlives this call.
-    parts = [part for name in selected for part in verify.SUITES[name]]
+    parts = [(name, part) for name in selected for part in verify.SUITES[name]]
     with ProcessPoolExecutor(max_workers=min(len(parts), _usable_cpus())) as pool:
-        futures = [pool.submit(part, args.max_n) for part in parts]
-        rows = [row for future in futures for row in future.result()]
+        futures = [pool.submit(part, args.max_n) for _, part in parts]
+        rows = []
+        for (name, part), future in zip(parts, futures):
+            try:
+                rows += future.result()
+            except MemoryError:
+                raise
+            except Exception as err:
+                # A check that raises is a failed check, not bad input: one
+                # failed row names the part, and the other rows still print.
+                row = verify.SuiteRow(f"{name}/{part.__name__}")
+                row.count(False, f"{type(err).__name__}: {err}")
+                rows.append(row)
 
     width = max(len(row.name) for row in rows)
     print(f"{'suite':<{width}}  {'checks':>8}  {'failures':>8}  status")
@@ -272,12 +284,6 @@ _parser = lru_cache(maxsize=1)(build_parser)
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except UsageError as err:
-        print(f"fareysub: error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-    try:
         code = args.func(args)
         # Flushed here, so that a reader that has closed the pipe is met
         # below and not in the interpreter's final flush.
@@ -302,6 +308,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         # lies outside what it can compute, not a fault of the program.
         print("fareysub: domain error: out of memory; the order is too large", file=sys.stderr)
         return EXIT_DOMAIN
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
 
 
 if __name__ == "__main__":

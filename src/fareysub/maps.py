@@ -6,8 +6,8 @@ the bool family the statement lives in.  Each bijection is stated once:
 its inverse entry is derived from it, with the inverse matrix and the two
 families swapped at the parameters the inverse transform gives.  An entry
 is bijective exactly when it names an inverse.  `verify_map` replays a map
-over the enumeration oracle and checks every advertised property element
-by element.
+over the enumeration oracle and checks its images element by element, and
+its inverse by the matrix product.
 """
 
 from __future__ import annotations
@@ -234,28 +234,38 @@ Oracle = Callable[[SequenceSpec], list[Fraction]]
 def verify_map(map_id: str, n: int, m: int, *, oracle: Oracle | None = None) -> VerificationReport:
     """Enumerate the domain, map every element, and check all claims.
 
-    Checks strict monotonicity in the declared direction (so no collisions),
-    that bijections hit the enumerated codomain exactly (injections land
-    inside it), and that the registered inverse undoes every element.
-    An alternative oracle (for example a caching one) may be supplied.
+    Checks that every image stays in [0/1, 1/1], strict monotonicity in the
+    declared direction (so no collisions), and that bijections hit the
+    enumerated codomain exactly (injections land inside it).  The registered
+    inverse undoes every fraction exactly when the product of the two
+    matrices is +-I, and it must name the matching families.  An
+    alternative oracle (for example a caching one) may be supplied.
     """
     fetch = oracle if oracle is not None else enumerate_sequence
     entry = get_map(map_id)
     entry.check_constraint(n, m)
     domain = fetch(entry.domain(n, m))
     codomain_spec = entry.codomain(n, m)
-    images = [entry.matrix.apply(x) for x in domain]
-
+    images: list[Fraction] = []
     counterexample = None
+    try:
+        for x in domain:
+            images.append(entry.matrix.apply(x))
+    except DomainError as err:
+        # Only a wrong matrix carries a domain member out of [0/1, 1/1]; the
+        # checks below run on the images before it.
+        counterexample = str(err)
+    image_ok = counterexample is None
+
     monotone = True
     preserving = entry.direction is Direction.PRESERVING
     for a, b in zip(images, images[1:]):
         if not (a < b if preserving else b < a):
             monotone = False
-            counterexample = f"order breaks at images {a}, {b}"
+            if counterexample is None:
+                counterexample = f"order breaks at images {a}, {b}"
             break
 
-    image_ok = True
     if entry.map_class is MapClass.BIJECTIVE:
         codomain = fetch(codomain_spec)
         expected = images if preserving else images[::-1]
@@ -275,13 +285,12 @@ def verify_map(map_id: str, n: int, m: int, *, oracle: Oracle | None = None) -> 
     if entry.inverse_id is not None:
         assert entry.inverse_params is not None
         inverse = get_map(entry.inverse_id)
-        back = inverse.matrix
-        for x, y in zip(domain, images):
-            if back.apply(y) != x:
-                roundtrip_ok = False
-                if counterexample is None:
-                    counterexample = f"{x} -> {y} does not return through {entry.inverse_id}"
-                break
+        # The product is +-I exactly when b = c = 0 and a = d, as det = +-1.
+        product = inverse.matrix @ entry.matrix
+        if product.b or product.c or product.a != product.d:
+            roundtrip_ok = False
+            if counterexample is None:
+                counterexample = f"{entry.inverse_id} after {map_id} is {product.rows()}, not +-I"
         # The inverse entry must claim the matching sequences at the
         # transformed parameters.
         n2, m2 = entry.inverse_params(n, m)
@@ -326,15 +335,22 @@ def _composite_identity(
     involution_id: str, down_id: str, up_id: str, mirror_order: int, n: int, m: int,
     oracle: Oracle | None,
 ) -> bool:
-    """The involution equals down-map, reflection of order mirror_order, up-map, pointwise."""
+    """The involution equals down-map, reflection of order mirror_order, up-map, pointwise.
+
+    A step that leaves [0/1, 1/1] or the next map's domain makes the identity
+    fail; only the involution's constraint raises DomainError.
+    """
     involution = get_map(involution_id)
     involution.check_constraint(n, m)
     fetch = oracle if oracle is not None else enumerate_sequence
     for x in fetch(involution.domain(n, m)):
-        step = apply_named(down_id, n, m, x)
-        step = apply_named("mirror_full", mirror_order, 0, step)
-        step = apply_named(up_id, n, m, step)
-        if step != apply_named(involution_id, n, m, x):
+        try:
+            step = apply_named(down_id, n, m, x)
+            step = apply_named("mirror_full", mirror_order, 0, step)
+            step = apply_named(up_id, n, m, step)
+            if step != apply_named(involution_id, n, m, x):
+                return False
+        except DomainError:
             return False
     return True
 

@@ -97,24 +97,17 @@ def _g_pair(n: int, m: int, h: int, k: int, sign: int) -> tuple[int, int]:
     return p, q
 
 
-def _g_neighbor(n: int, m: int, h: int, k: int, sign: int) -> tuple[int, int]:
-    """_g_pair extended to the ends: the term after 0/1 and the one before 1/1."""
-    if k == 1:
-        return _g_end(n, m, h)
-    return _g_pair(n, m, h, k, sign)
-
-
 def _neighbor_pair(pieces: tuple[_Piece, ...], h: int, k: int, sign: int) -> tuple[int, int]:
     """The neighbor before (sign -1) or after (+1) the member h/k, as an int pair.
 
     h/k must have a neighbor on that side.  The step is taken in the piece
-    that holds the neighbor, on h/k carried back to it.
+    that holds the neighbor, on h/k carried back to it: an end of the piece
+    (denominator 1) reads its neighbor off _g_end, any other member off
+    _g_pair.
     """
     n, m, M = _piece(pieces, h, k, sign)
-    if M is IDENTITY_MAP:
-        return _g_neighbor(n, m, h, k, sign)
     u, v = _carried_back(M, h, k)
-    p, q = _g_neighbor(n, m, u, v, -sign if M.det < 0 else sign)
+    p, q = _g_end(n, m, u) if v == 1 else _g_pair(n, m, u, v, -sign if M.det < 0 else sign)
     return M.a * p + M.b * q, M.c * p + M.d * q
 
 

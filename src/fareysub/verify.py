@@ -6,8 +6,9 @@ property.
 
 A suite is made of *parts*, each a contiguous run of its rows; `SUITES`
 states the three suites of `fareysub verify` and their seven parts, in
-print order.  `neighbor_suite`, `identity_suite`, `map_suite` and
-`run_cli_suite` return the concatenation of their parts' rows.
+print order, and is the one statement of a suite's parts: `neighbor_suite`,
+`identity_suite` and `map_suite` return the concatenation of their parts'
+rows.
 `fareysub verify` (`cli.cmd_verify`) hands the parts to a pool of worker
 processes in print order and reads their rows back in that order, so its
 table is the same as a serial run's.  Print order is enough: the pool gives
@@ -182,7 +183,7 @@ def _endpoint_rows(max_n: int) -> list[SuiteRow]:
 
 def neighbor_suite(max_n: int = 20) -> list[SuiteRow]:
     """Closed-form neighbors versus oracle scans, over all families."""
-    return run_cli_suite("neighbors", max_n)
+    return [row for part in SUITES["neighbors"] for row in part(max_n)]
 
 
 def _identity_closed_form_rows(
@@ -279,11 +280,6 @@ SUITES: dict[str, tuple[Callable[[int], list[SuiteRow]], ...]] = {
     "identities": (_identity_closed_form_rows, _gdiff_rank_rows),
     "neighbors": (_gdiff_neighbor_rows, _fnum_neighbor_rows, _bool_neighbor_rows, _endpoint_rows),
 }
-
-
-def run_cli_suite(name: str, max_n: int) -> list[SuiteRow]:
-    """One suite of `SUITES`, by name: the rows of its parts, in order; KeyError if unknown."""
-    return [row for part in SUITES[name] for row in part(max_n)]
 
 
 def structure_suite(max_n: int = 20) -> list[SuiteRow]:

@@ -166,6 +166,8 @@ def test_apply_named_rejections():
         ("thm_f_to_left", UnimodularMap(1, 0, 2, 1), "1/2"),
         # an injection that stays in the left half
         ("prop_left_to_right_pres", IDENTITY_MAP, "1/3"),
+        # h/(k-h): carries the domain's 1/1 to 1/0, out of [0/1, 1/1]
+        ("thm_f_to_left", UnimodularMap(1, 0, -1, 1), "1/2"),
     ],
 )
 def test_a_wrong_registry_matrix_is_reported_by_verify(monkeypatch, map_id, wrong, x):
@@ -182,6 +184,21 @@ def test_a_wrong_registry_matrix_is_reported_by_verify(monkeypatch, map_id, wron
     rows = {row.name: row for row in verify.map_suite(8)}
     row = rows[f"maps/{map_id}"]
     assert row.failures > 0 and row.first_failure
+    assert rows["maps/mirror_full"].ok
+
+
+def test_a_wrong_inverse_matrix_alone_fails_the_roundtrip(monkeypatch):
+    # thm_f_to_left broken to h/(2h+k): thm_left_to_f's images are still
+    # right, but the registered inverse no longer undoes them.
+    entry = get_map("thm_f_to_left")
+    broken = dataclasses.replace(entry, matrix=UnimodularMap(1, 0, 2, 1))
+    monkeypatch.setattr(maps, "_CATALOG", tuple(broken if e is entry else e for e in catalog()))
+    monkeypatch.setitem(maps._BY_ID, "thm_f_to_left", broken)
+    report = verify_map("thm_left_to_f", 6, 4)
+    assert report.image_ok and report.monotone
+    assert not report.roundtrip_ok and not report.passed and report.counterexample
+    rows = {row.name: row for row in verify.map_suite(8)}
+    assert not rows["maps/thm_left_to_f"].ok
     assert rows["maps/mirror_full"].ok
 
 

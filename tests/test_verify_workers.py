@@ -125,7 +125,7 @@ def test_a_wrong_cardinality_variant_fails_verify_cleanly(capsys, monkeypatch):
         return variants
 
     monkeypatch.setattr(counting, "f_cardinality_variants", wrong_at_7)
-    rows = verify.run_cli_suite("identities", 12)
+    rows = _rows_of_parts("identities", 12)
     failing = [row for row in rows if not row.ok]
     assert [row.name for row in failing] == ["counting/fnum cardinality vs oracle"]
     assert failing[0].failures == 9 and failing[0].first_failure.startswith("n=7 m=1 got ")
@@ -142,14 +142,12 @@ def _rows_of_parts(name, max_n):
 @pytest.mark.parametrize("max_n", [0, 1, 6, 20])
 def test_each_suite_is_the_concatenation_of_its_parts(max_n):
     # SuiteRow equality compares name, checks, failures and first failure.
-    assert _rows_of_parts("neighbors", max_n) == verify.neighbor_suite(max_n)
+    # identity_suite is the one wrapper with knobs of its own: neighbor_suite
+    # concatenates SUITES["neighbors"], and map_suite is the maps suite's part.
     assert _rows_of_parts("identities", max_n) == verify.identity_suite(
         max_n=max_n, enum_cross_max=min(max_n, 30)
     )
     assert _rows_of_parts("identities", max_n) == verify.identity_suite(max_n=max_n)
-    assert _rows_of_parts("maps", max_n) == verify.map_suite(max_n)
-    for name in verify.SUITES:
-        assert _rows_of_parts(name, max_n) == verify.run_cli_suite(name, max_n)
 
 
 def test_every_part_appears_once_and_covers_every_suite():
@@ -159,8 +157,6 @@ def test_every_part_appears_once_and_covers_every_suite():
     # No row is split between two parts or made by two.
     names = [row.name for part in parts for row in part(4)]
     assert len(names) == len(set(names))
-    with pytest.raises(KeyError):
-        verify.run_cli_suite("structure", 4)
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
@@ -215,3 +211,50 @@ def test_a_check_failing_in_a_later_part_fails_the_call(capsys, monkeypatch):
     assert " 1  FAIL (n=7 m=3 anchor 1/3 got " in failing[0]
     assert code == 3
     assert re.fullmatch(r"1 of \d+ checks failed\n", err)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched step reaches the workers only when they are forked",
+)
+def test_a_check_raising_in_a_worker_fails_its_part_only(capsys, monkeypatch):
+    # Every neighbor part but bool's solves this congruence at --max-n 8.
+    _, reference, _ = _verify_reference(["--neighbors"], 8)
+    plain = neighbors._g_pair
+
+    def raising_at_2_5(n, m, h, k, sign):
+        if (n, m, h, k, sign) == (7, 3, 2, 5, -1):
+            raise RuntimeError("planted fault")
+        return plain(n, m, h, k, sign)
+
+    monkeypatch.setattr(neighbors, "_g_pair", raising_at_2_5)
+    code, out, err = _run(capsys, ["verify", "--neighbors", "--max-n", "8"])
+    # A row is its name, checks, failures and status, two or more spaces apart.
+    rows = [re.split(r"\s{2,}", line.strip()) for line in out.splitlines()[1:]]
+    assert [row for row in rows if row[3] != "ok"] == [
+        [f"neighbors/{part}", "1", "1", "FAIL (RuntimeError: planted fault)"]
+        for part in ("_gdiff_neighbor_rows", "_fnum_neighbor_rows", "_endpoint_rows")
+    ]
+    # The bool part's rows print as in an unpatched run, in their place.
+    kept = [re.split(r"\s{2,}", line.strip()) for line in reference.splitlines() if "/bool " in line]
+    assert [row for row in rows if row[3] == "ok"] == kept == rows[2:4]
+    checks = 3 + sum(int(row[1]) for row in kept)
+    assert code == 3 and err == f"3 of {checks} checks failed\n"
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched step reaches the workers only when they are forked",
+)
+def test_running_out_of_memory_in_a_worker_stays_a_domain_error(capsys, monkeypatch):
+    plain = neighbors._g_pair
+
+    def exhausted_at_2_5(n, m, h, k, sign):
+        if (n, m, h, k, sign) == (7, 3, 2, 5, -1):
+            raise MemoryError
+        return plain(n, m, h, k, sign)
+
+    monkeypatch.setattr(neighbors, "_g_pair", exhausted_at_2_5)
+    code, out, err = _run(capsys, ["verify", "--neighbors", "--max-n", "8"])
+    assert (code, out) == (2, "")
+    assert err == "fareysub: domain error: out of memory; the order is too large\n"
