@@ -3,8 +3,10 @@
 Subcommands: gen, neighbors, card, rank, map, verify.  Exit codes are a
 stable contract: 0 success, 1 usage error, 2 domain error (parameters or
 fractions outside a sequence, an order too large to count or to fit in
-memory), 3 verification failure (a check that raises included).  Results
-go to standard output, diagnostics to standard error.
+memory), 3 verification failure (a failed internal check in any
+subcommand: one stderr line, no traceback).  gen raises every domain error
+before its first write; a later fault exits 3 after the runs written.
+Results go to standard output, diagnostics to standard error.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ _GEN_LAYOUT = {
     "json": ('{"fractions": [', '"%d/%d"', ", "),
     "csv": ("num,den\n", "%d,%d\n", ""),
 }
-_GEN_BATCH = 1024
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -73,14 +74,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
             fmt = formats[size] = sep.join([term] * size)
         return fmt % tuple(run)
 
-    # Terms stream out a run at a time, but the first _GEN_BATCH terms, or
-    # the whole sequence, are computed before anything is written, so a
-    # failure there leaves stdout empty.
-    first: list[int] = []
-    for run in runs:
-        first += run
-        if len(first) >= 2 * _GEN_BATCH:
-            break
+    # Each run is written once made; the head goes with the seed pair, so no write is empty.
+    first = next(runs)
     write = sys.stdout.write
     write(head + formatted(first))
     count = len(first) // 2
@@ -270,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--all-maps", action="store_true", help="verify the map catalog")
     p_verify.add_argument("--identities", action="store_true", help="verify counting identities")
     p_verify.add_argument("--neighbors", action="store_true", help="verify neighbor formulas")
-    p_verify.add_argument("--max-n", type=int, default=20, help="sweep bound on the order n")
+    max_n_help = "sweep bound on the order n; the Moebius identity rows run t <= 300 whatever it is"
+    p_verify.add_argument("--max-n", type=int, default=20, help=max_n_help)
     p_verify.set_defaults(func=cmd_verify)
 
     return parser
@@ -303,6 +299,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DomainError as err:
         print(f"fareysub: domain error: {err}", file=sys.stderr)
         return EXIT_DOMAIN
+    except RuntimeError as err:
+        # Every internal check raises RuntimeError, in whichever subcommand.
+        print(f"fareysub: internal check failed: {err}", file=sys.stderr)
+        return EXIT_VERIFY
     except MemoryError:
         # A table or sequence too large for this host is a parameter that
         # lies outside what it can compute, not a fault of the program.

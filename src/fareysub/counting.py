@@ -131,11 +131,12 @@ def _mu_upto(limit: int) -> memoryview:
 def _blocks(mu: memoryview, n: int, r: int, stop: int) -> Iterator[tuple[int, int, int]]:
     """(weight, n // d, r // d) for each run d..e <= stop of equal quotients.
 
-    The runs tile [1, stop]; on each, n // d and r // d are constant, and
-    the weight is the sum over the run of mu, a _mu_upto table of order at
-    least stop.  Runs of weight 0 are skipped.  Below sqrt(n) most runs
-    hold one d; past it there are at most 2 sqrt(n) + 2 sqrt(r) of them,
-    for 0 <= r <= n.
+    stop is n // c for some c >= 1: n // d >= c on [1, stop], so no run
+    ends past stop.  The runs tile [1, stop]; on each, n // d and r // d
+    are constant, and the weight is the sum over the run of mu, a _mu_upto
+    table of order at least stop.  Runs of weight 0 are skipped.  Below
+    sqrt(n) most runs hold one d; past it there are at most
+    2 sqrt(n) + 2 sqrt(r) of them, for 0 <= r <= n.
     """
     d = 1
     while d <= stop:
@@ -143,8 +144,6 @@ def _blocks(mu: memoryview, n: int, r: int, stop: int) -> Iterator[tuple[int, in
         e = n // N
         if R and r // R < e:
             e = r // R
-        if e > stop:
-            e = stop
         weight = mu[d] if d == e else sum(mu[d : e + 1])
         if weight:
             yield weight, N, R

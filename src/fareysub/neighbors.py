@@ -240,8 +240,6 @@ def boolean_special_neighbors(n: int, m: int, anchor: Fraction) -> tuple[Fractio
             b = min(r, (m - 1) // 2)
             return make_fraction(2 * a - 1, 3 * a - 1), make_fraction(2 * b + 1, 3 * b + 1)
         if anchor == _THIRD:
-            if r <= 1:
-                raise DomainError(f"1/3 needs n - m > 1, got n={n}, m={m}")
             if r % 2 == 0:
                 pred = make_fraction((r - 2) // 2, (3 * r - 4) // 2)
                 succ = make_fraction(r // 2, (3 * r - 2) // 2)
@@ -260,8 +258,6 @@ def boolean_special_neighbors(n: int, m: int, anchor: Fraction) -> tuple[Fractio
             b = min(m, (n - m + 1) // 2)
             return make_fraction(a, 3 * a + 1), make_fraction(b, 3 * b - 1)
         if anchor == _TWO_THIRDS:
-            if m <= 1:
-                raise DomainError(f"2/3 needs m > 1, got n={n}, m={m}")
             if m % 2 == 0:
                 pred = make_fraction(m - 1, (3 * m - 2) // 2)
                 succ = make_fraction(m - 1, (3 * m - 4) // 2)

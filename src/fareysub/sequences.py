@@ -132,7 +132,7 @@ def _admit(kind: SequenceKind, n: int, m: int | None) -> int | None:
     elif kind is _FNUM:
         if m < 1:
             raise DomainError(f"fnum requires m >= 1, got m={m}")
-    elif n <= 1 or not 0 < m < n:
+    elif not 0 < m < n:
         raise DomainError(f"{kind.value} requires n > 1 and 0 < m < n, got n={n}, m={m}")
     return m
 

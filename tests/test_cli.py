@@ -157,7 +157,7 @@ def test_gen_output_beyond_the_corpus_is_pinned(command, digest):
 
 
 class _Stdout(io.StringIO):
-    """stdout that notes, at each write, how many terms gen had been handed."""
+    """stdout that notes, at each write, the terms and runs gen had been handed, and the text."""
 
     def __init__(self, handed):
         super().__init__()
@@ -165,34 +165,43 @@ class _Stdout(io.StringIO):
         self.seen = []
 
     def write(self, text):
-        self.seen.append(self.handed[0])
+        self.seen.append((*self.handed, text))
         return super().write(text)
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 1024])
 def test_gen_writes_nothing_before_a_whole_batch(monkeypatch, size):
-    # Nothing is written before _GEN_BATCH terms, or all of them, exist.
-    handed = [0]
+    # Named before gen streamed; the id is kept.  Each run is written as soon
+    # as it is made, the 2-term seed run together with the head, so no write
+    # is empty.
+    handed = [0, 0]
 
     def counted(spec):
         for run in term_runs(spec):
             handed[0] += len(run) // 2
+            handed[1] += 1
             yield run
 
     term_runs = cli._term_runs
     monkeypatch.setattr(cli, "_term_runs", counted)
     monkeypatch.setattr(sequences, "_RUN", size)
     for kind, n, m in [("full", 60, 0), ("bool", 60, 17), ("bool-left", 90, 30), ("fnum", 9, 4), ("gdiff", 80, 3)]:
-        handed[0] = 0
+        handed[:] = [0, 0]
         stdout = _Stdout(handed)
         with contextlib.redirect_stdout(stdout):
             assert main(["gen", "--kind", kind, "-n", str(n), "-m", str(m)]) == 0
-        total = handed[0]
-        assert stdout.seen[0] >= min(cli._GEN_BATCH, total), (kind, n, m)
+        total, runs = handed
+        terms_seen, runs_seen, texts = zip(*stdout.seen)
+        # One write per run, then the closing newline once every run is in.
+        assert runs_seen == (*range(1, runs + 1), runs), (kind, n, m)
+        assert terms_seen[0] == 2 and all(texts), (kind, n, m)
         assert stdout.getvalue().count(" ") + 1 == total
 
 
 def test_gen_leaves_stdout_empty_when_the_first_batch_fails(capsys, monkeypatch):
+    # Named before gen streamed; the id is kept.  A walk that fails after its
+    # first runs exits 3 with one line on stderr, and stdout holds exactly the
+    # runs written before the fault.
     def failing(spec):
         yield from islice(term_runs(spec), 3)
         raise RuntimeError("walk")
@@ -200,9 +209,11 @@ def test_gen_leaves_stdout_empty_when_the_first_batch_fails(capsys, monkeypatch)
     term_runs = cli._term_runs
     monkeypatch.setattr(cli, "_term_runs", failing)
     monkeypatch.setattr(sequences, "_RUN", 100)
-    with pytest.raises(RuntimeError, match="walk"):
-        main(["gen", "--kind", "full", "-n", "60"])
-    assert capsys.readouterr().out == ""
+    code, out, err = run(capsys, "gen", "--kind", "full", "-n", "60")
+    assert code == 3
+    assert err == "fareysub: internal check failed: walk\n"
+    written = [term for run in islice(term_runs(SequenceSpec(SequenceKind.FULL, 60)), 3) for term in run]
+    assert out == " ".join("%d/%d" % pair for pair in zip(written[0::2], written[1::2]))
 
 
 def test_gen_into_a_closed_pipe_exits_zero_and_silent():
@@ -503,8 +514,30 @@ def test_card_json_catches_a_wrong_run_weight(capsys, monkeypatch, kind):
     spec = SequenceSpec(SequenceKind(kind), 30, 12 if m_args else None)
     _, variants = counting.cardinality_variants(spec)
     assert len(set(variants.values())) == 2, variants
-    with pytest.raises(RuntimeError, match="variants disagree"):
-        main(["card", "--kind", kind, "-n", "30", *m_args, "--format", "json"])
+    code, out, err = run(capsys, "card", "--kind", kind, "-n", "30", *m_args, "--format", "json")
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "variants disagree" in err
+
+
+def test_a_failed_internal_check_exits_3_without_a_traceback():
+    # A fresh interpreter, so that nothing but main stands between the
+    # failed check and the exit code.
+    code = (
+        "import sys\n"
+        "from fareysub import cli, counting\n"
+        "blocks = counting._blocks\n"
+        "def skewed(*args):\n"
+        "    runs = blocks(*args)\n"
+        "    weight, N, R = next(runs)\n"
+        "    yield weight + 1, N, R\n"
+        "    yield from runs\n"
+        "counting._blocks = skewed\n"
+        "sys.exit(cli.main(['card', '--kind', 'gdiff', '-n', '30', '-m', '12', '--format', 'json']))\n"
+    )
+    proc = _python("-c", code)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("fareysub: internal check failed: cardinality variants disagree")
 
 
 @pytest.mark.parametrize("kind", [kind.value for kind in SequenceKind])

@@ -211,6 +211,15 @@ def test_phi_interval(h, i, l, expected):
     assert phi_interval(h, i, l) == expected
 
 
+def test_counts_reject_their_domain():
+    with pytest.raises(DomainError, match="phi_interval requires h >= 1, got 0"):
+        phi_interval(0, 1, 5)
+    with pytest.raises(DomainError, match="t must be positive, got 0"):
+        moebius_floor_sum(0)
+    with pytest.raises(DomainError, match="t must be positive, got 0"):
+        moebius_floor_square_sum(0)
+
+
 def test_phi_interval_brute_force():
     for h in range(1, 25):
         for i in range(-3, 12):

@@ -9,6 +9,7 @@ from fareysub import (
     MapClass,
     MIRROR_MAP,
     SequenceKind,
+    SequenceSpec,
     UnimodularMap,
     apply_named,
     catalog,
@@ -200,6 +201,21 @@ def test_a_wrong_inverse_matrix_alone_fails_the_roundtrip(monkeypatch):
     rows = {row.name: row for row in verify.map_suite(8)}
     assert not rows["maps/thm_left_to_f"].ok
     assert rows["maps/mirror_full"].ok
+
+
+def test_an_inverse_naming_other_families_fails_the_roundtrip(monkeypatch):
+    # thm_f_to_left's matrix still undoes thm_left_to_f, but its domain at
+    # the transformed parameters is no longer the image family.
+    entry = get_map("thm_f_to_left")
+    broken = dataclasses.replace(entry, domain=lambda n, m: SequenceSpec(K.FNUM, n - m, m + 1))
+    monkeypatch.setattr(maps, "_CATALOG", tuple(broken if e is entry else e for e in catalog()))
+    monkeypatch.setitem(maps._BY_ID, "thm_f_to_left", broken)
+    report = verify_map("thm_left_to_f", 6, 4)
+    assert report.image_ok and not report.roundtrip_ok
+    assert report.counterexample == "inverse thm_f_to_left points at mismatched sequences"
+    rows = {row.name: row for row in verify.map_suite(8)}
+    row = rows["maps/thm_left_to_f"]
+    assert not row.ok and "inverse thm_f_to_left points at mismatched sequences" in row.first_failure
 
 
 def test_verify_map_worked_examples(oracle):

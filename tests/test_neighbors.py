@@ -144,14 +144,14 @@ def test_special_anchor_examples(n, m, anchor, pred, succ):
 
 
 def test_special_anchor_rejections():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="require n != 2m"):
         boolean_special_neighbors(4, 2, frac("1/2"))  # n = 2m out of scope
-    with pytest.raises(DomainError):
-        boolean_special_neighbors(6, 4, frac("2/5"))  # not an anchor
-    with pytest.raises(DomainError):
-        boolean_special_neighbors(6, 1, frac("2/3"))  # 2/3 needs m > 1
-    with pytest.raises(DomainError):
-        boolean_special_neighbors(6, 5, frac("1/3"))  # 1/3 absent, k-h = 2 > 1
+    with pytest.raises(DomainError, match="no special-anchor formula for 3/5"):
+        boolean_special_neighbors(6, 4, frac("3/5"))  # a member, but not an anchor
+    with pytest.raises(DomainError, match="2/3 is not in the bool family n=6, m=1"):
+        boolean_special_neighbors(6, 1, frac("2/3"))  # 2/3 absent, h = 2 > m
+    with pytest.raises(DomainError, match="1/3 is not in the bool family n=6, m=5"):
+        boolean_special_neighbors(6, 5, frac("1/3"))  # 1/3 absent, k-h = 2 > n-m
 
 
 def test_g_neighbors_match_oracle(oracle):
