@@ -20,7 +20,7 @@ from typing import Sequence
 
 from . import counting, maps, neighbors
 from .fraction import DomainError, Fraction, parse_fraction
-from .sequences import SequenceKind, SequenceSpec, _term_runs
+from .sequences import MAX_ENUM_ORDER, SequenceKind, SequenceSpec, _term_runs
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -173,6 +173,8 @@ def _usable_cpus() -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_n < 0:
         raise UsageError(f"--max-n must be >= 0, got {args.max_n}")
+    if args.max_n > MAX_ENUM_ORDER:  # before the pool, whose oracle would list every F_n first
+        raise DomainError(f"--max-n {args.max_n} exceeds the enumeration bound {MAX_ENUM_ORDER}")
 
     # Imported here so that no other subcommand pays for the pool's modules
     # or for the suites.

@@ -150,8 +150,8 @@ def adjacency_determinant(x: Fraction, y: Fraction) -> int:
 
 
 def mirror(x: Fraction) -> Fraction:
-    """The order-reversing involution h/k -> (k-h)/k."""
-    return Fraction(x.den - x.num, x.den)
+    """The order-reversing involution h/k -> (k-h)/k, the action of MIRROR_MAP."""
+    return MIRROR_MAP.apply(x)
 
 
 @dataclass(frozen=True, slots=True)

@@ -5,9 +5,9 @@ the family it maps onto, both parameterized by the ambient pair (n, m) of
 the bool family the statement lives in.  Each bijection is stated once:
 its inverse entry is derived from it, with the inverse matrix and the two
 families swapped at the parameters the inverse transform gives.  An entry
-is bijective exactly when it names an inverse.  `verify_map` replays a map
-over the enumeration oracle and checks its images element by element, and
-its inverse by the matrix product.
+is bijective when it names an inverse, and reverses order when det = -1.
+`verify_map` checks its images over the enumeration oracle one by one,
+and its inverse by the matrix product.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ class NamedMap:
     matrix: UnimodularMap
     domain: SpecFactory
     codomain: SpecFactory
-    direction: Direction
     constraint: Callable[[int, int], bool] | None = None
     constraint_text: str = ""
     # Identifier of the inverse entry and how (n, m) transforms under it;
@@ -59,6 +58,11 @@ class NamedMap:
     @property
     def map_class(self) -> MapClass:
         return MapClass.INJECTIVE if self.inverse_id is None else MapClass.BIJECTIVE
+
+    @property
+    def direction(self) -> Direction:
+        # For h/k < h'/k' the images' cross-difference is det * (h'k - hk').
+        return Direction.REVERSING if self.matrix.det < 0 else Direction.PRESERVING
 
     @property
     def ignores_m(self) -> bool:  # both families full, whose specs take no m
@@ -100,85 +104,82 @@ def _right(n: int, m: int) -> SequenceSpec:
 
 def _bijection(
     id: str, inverse_id: str, matrix: UnimodularMap, domain: SpecFactory, codomain: SpecFactory,
-    direction: Direction, params: ParamTransform = _SAME,
+    params: ParamTransform = _SAME,
     constraint: tuple[Callable[[int, int], bool] | None, str] = _NO_CONSTRAINT,
 ) -> tuple[NamedMap, ...]:
     """The stated bijection, then its inverse, or the stated one alone if it is its own inverse.
 
-    The derived inverse has the inverse matrix and the same direction.  At
-    (n, m) its domain is the stated codomain at params(n, m), and its
-    codomain the stated domain there; params is its own inverse.  A
-    constraint binds the stated entry only; in the catalog only involutions
-    have one.
+    The derived inverse has the inverse matrix, whose determinant is the
+    same, so it has the same direction.  At (n, m) its domain is the stated
+    codomain at params(n, m), and its codomain the stated domain there;
+    params is its own inverse.  A constraint binds the stated entry only; in
+    the catalog only involutions have one.
     """
-    stated = NamedMap(id, matrix, domain, codomain, direction, *constraint, inverse_id, params)
+    stated = NamedMap(id, matrix, domain, codomain, *constraint, inverse_id, params)
     if inverse_id == id:
         return (stated,)
     inverse_domain, inverse_codomain = codomain, domain
     if params is not _SAME:
         inverse_domain = lambda n, m: codomain(*params(n, m))  # noqa: E731
         inverse_codomain = lambda n, m: domain(*params(n, m))  # noqa: E731
-    derived = NamedMap(
-        inverse_id, matrix.inverse(), inverse_domain, inverse_codomain, direction,
+    return stated, NamedMap(
+        inverse_id, matrix.inverse(), inverse_domain, inverse_codomain,
         inverse_id=id, inverse_params=params,
     )
-    return stated, derived
 
-
-_PRESERVING, _REVERSING = Direction.PRESERVING, Direction.REVERSING
 
 # The order of the entries is part of the interface; where a derived
 # inverse comes first, the pair is reversed.  The matrices of lemma_g_to_f,
 # thm_g_to_right and thm_gdual_to_left are the objects `sequences._pieces`
 # carries the families with.
 _CATALOG = (
-    *_bijection("mirror_full", "mirror_full", MIRROR_MAP, _full, _full, _REVERSING),
+    *_bijection("mirror_full", "mirror_full", MIRROR_MAP, _full, _full),
     *_bijection(
         "mirror_boolean", "mirror_boolean", MIRROR_MAP,
         lambda n, m: SequenceSpec(_BOOL, n, m), lambda n, m: SequenceSpec(_BOOL, n, n - m),
-        _REVERSING, _COMPLEMENT,
+        _COMPLEMENT,
     ),
     *_bijection(
         "lemma_g_to_f", "lemma_f_to_g", MIRROR_MAP,  # h/k -> (k-h)/k
         lambda n, m: SequenceSpec(_GDIFF, n, m), lambda n, m: SequenceSpec(_FNUM, n, n - m),
-        _REVERSING, _COMPLEMENT,
+        _COMPLEMENT,
     )[::-1],
     *_bijection(
         "thm_left_to_f", "thm_f_to_left", UnimodularMap(1, 0, -1, 1),  # h/k -> h/(k-h)
-        _left, lambda n, m: SequenceSpec(_FNUM, n - m, m), _PRESERVING,
+        _left, lambda n, m: SequenceSpec(_FNUM, n - m, m),
     ),
     *_bijection(
         "thm_g_to_right", "thm_right_to_g", _G_TO_RIGHT,  # h/k -> k/(2k-h)
-        lambda n, m: SequenceSpec(_GDIFF, m, 2 * m - n), _right, _PRESERVING,
+        lambda n, m: SequenceSpec(_GDIFF, m, 2 * m - n), _right,
     )[::-1],
     *_bijection(
         "thm_gdual_to_left", "thm_left_to_gdual", _GDUAL_TO_LEFT,  # h/k -> (k-h)/(2k-h)
-        lambda n, m: SequenceSpec(_GDIFF, n - m, n - 2 * m), _left, _REVERSING,
+        lambda n, m: SequenceSpec(_GDIFF, n - m, n - 2 * m), _left,
     )[::-1],
     *_bijection(
         "thm_right_to_f", "thm_f_to_right", UnimodularMap(-1, 1, 1, 0),  # h/k -> (k-h)/h
-        _right, lambda n, m: SequenceSpec(_FNUM, m, n - m), _REVERSING,
+        _right, lambda n, m: SequenceSpec(_FNUM, m, n - m),
     ),
     *_bijection(
         "prop_left_involution", "prop_left_involution",
         UnimodularMap(-2, 1, -3, 2),  # h/k -> (k-2h)/(2k-3h)
-        _left, _left, _REVERSING, constraint=_TWO_M_GE_N,
+        _left, _left, constraint=_TWO_M_GE_N,
     ),
     NamedMap(
         "prop_left_to_right_pres", UnimodularMap(-1, 1, -3, 2),  # h/k -> (k-h)/(2k-3h)
-        _left, _right, _PRESERVING, *_TWO_M_GE_N,
+        _left, _right, *_TWO_M_GE_N,
     ),
-    NamedMap("prop_left_to_right_rev", MIRROR_MAP, _left, _right, _REVERSING, *_TWO_M_GE_N),
+    NamedMap("prop_left_to_right_rev", MIRROR_MAP, _left, _right, *_TWO_M_GE_N),
     *_bijection(
         "prop_right_involution", "prop_right_involution",
         UnimodularMap(1, 0, 3, -1),  # h/k -> h/(3h-k)
-        _right, _right, _REVERSING, constraint=_TWO_M_LE_N,
+        _right, _right, constraint=_TWO_M_LE_N,
     ),
     NamedMap(
         "prop_right_to_left_pres", UnimodularMap(2, -1, 3, -1),  # h/k -> (2h-k)/(3h-k)
-        _right, _left, _PRESERVING, *_TWO_M_LE_N,
+        _right, _left, *_TWO_M_LE_N,
     ),
-    NamedMap("prop_right_to_left_rev", MIRROR_MAP, _right, _left, _REVERSING, *_TWO_M_LE_N),
+    NamedMap("prop_right_to_left_rev", MIRROR_MAP, _right, _left, *_TWO_M_LE_N),
 )
 _BY_ID = {entry.id: entry for entry in _CATALOG}
 
@@ -235,10 +236,10 @@ def verify_map(map_id: str, n: int, m: int, *, oracle: Oracle | None = None) -> 
     """Enumerate the domain, map every element, and check all claims.
 
     Checks that every image stays in [0/1, 1/1], strict monotonicity in the
-    declared direction (so no collisions), and that bijections hit the
-    enumerated codomain exactly (injections land inside it).  The registered
-    inverse undoes every fraction exactly when the product of the two
-    matrices is +-I, and it must name the matching families.  An
+    direction of the determinant (so no collisions), and that bijections hit
+    the enumerated codomain exactly (injections land inside it).  The
+    registered inverse undoes every fraction exactly when the product of
+    the two matrices is +-I, and it must name the matching families.  An
     alternative oracle (for example a caching one) may be supplied.
     """
     fetch = oracle if oracle is not None else enumerate_sequence

@@ -170,10 +170,9 @@ class _Stdout(io.StringIO):
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 1024])
-def test_gen_writes_nothing_before_a_whole_batch(monkeypatch, size):
-    # Named before gen streamed; the id is kept.  Each run is written as soon
-    # as it is made, the 2-term seed run together with the head, so no write
-    # is empty.
+def test_gen_writes_each_run_as_it_is_made(monkeypatch, size):
+    # Each run is written as soon as it is made, the 2-term seed run together
+    # with the head, so no write is empty.
     handed = [0, 0]
 
     def counted(spec):
@@ -198,10 +197,9 @@ def test_gen_writes_nothing_before_a_whole_batch(monkeypatch, size):
         assert stdout.getvalue().count(" ") + 1 == total
 
 
-def test_gen_leaves_stdout_empty_when_the_first_batch_fails(capsys, monkeypatch):
-    # Named before gen streamed; the id is kept.  A walk that fails after its
-    # first runs exits 3 with one line on stderr, and stdout holds exactly the
-    # runs written before the fault.
+def test_gen_reports_a_late_fault_after_the_runs_written(capsys, monkeypatch):
+    # A walk that fails after its first runs exits 3 with one line on stderr,
+    # and stdout holds exactly the runs written before the fault.
     def failing(spec):
         yield from islice(term_runs(spec), 3)
         raise RuntimeError("walk")
@@ -343,7 +341,7 @@ def test_rank_examples(capsys):
     assert run(capsys, "rank", "--kind", "gdiff", "-n", "6", "-m", "4", "1/2")[:2] == (0, "2\n")
 
 
-def test_rank_other_kinds_scan_and_say_so(capsys):
+def test_rank_json_names_its_method(capsys):
     code, out, _ = run(capsys, "rank", "--kind", "full", "-n", "6", "1/6", "--format", "json")
     assert code == 0
     payload = json.loads(out)
@@ -451,6 +449,17 @@ def test_verify_rejects_a_negative_bound(capsys):
     for bound in ("-1", "-5"):
         code, out, err = run(capsys, "verify", "--max-n", bound)
         assert (code, out) == (1, "") and "--max-n" in err
+
+
+def test_verify_refuses_a_bound_beyond_the_oracle_before_any_part_runs(capsys, monkeypatch):
+    # With the bound lowered to 3, --max-n 4 is refused at once, and the
+    # sweep at the bound itself still runs.  raising=False: a cli that reads
+    # no bound fails on the exit code, not on the patch.
+    monkeypatch.setattr(cli, "MAX_ENUM_ORDER", 3, raising=False)
+    code, out, err = run(capsys, "verify", "--max-n", "4")
+    assert (code, out, err) == (2, "", "fareysub: domain error: --max-n 4 exceeds the enumeration bound 3\n")
+    code, out, _ = run(capsys, "verify", "--max-n", "3")
+    assert code == 0 and out.endswith("checks passed\n")
 
 
 def test_help_exits_zero(capsys):

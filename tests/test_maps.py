@@ -203,6 +203,22 @@ def test_a_wrong_inverse_matrix_alone_fails_the_roundtrip(monkeypatch):
     assert rows["maps/mirror_full"].ok
 
 
+def test_a_matrix_of_the_wrong_orientation_fails(monkeypatch):
+    # thm_left_to_f's matrix composed with the mirror: the determinant, and so
+    # the direction, flips, and the registered inverse no longer undoes it.
+    entry = get_map("thm_left_to_f")
+    broken = dataclasses.replace(entry, matrix=MIRROR_MAP @ entry.matrix)
+    monkeypatch.setattr(maps, "_CATALOG", tuple(broken if e is entry else e for e in catalog()))
+    monkeypatch.setitem(maps._BY_ID, "thm_left_to_f", broken)
+    assert get_map("thm_left_to_f").direction is Direction.REVERSING
+    report = verify_map("thm_left_to_f", 6, 4)
+    assert not report.roundtrip_ok and not report.passed
+    assert report.counterexample == "thm_f_to_left after thm_left_to_f is ((-2, 1), (-3, 2)), not +-I"
+    assert not verify_map("thm_left_to_f", 7, 2).image_ok
+    rows = {row.name: row for row in verify.map_suite(8)}
+    assert not rows["maps/thm_left_to_f"].ok
+
+
 def test_an_inverse_naming_other_families_fails_the_roundtrip(monkeypatch):
     # thm_f_to_left's matrix still undoes thm_left_to_f, but its domain at
     # the transformed parameters is no longer the image family.
