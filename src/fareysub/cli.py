@@ -108,6 +108,20 @@ def cmd_neighbors(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _print_count(
+    key: str, spec: SequenceSpec, value: int, variants: dict[str, int], **metadata: str
+) -> int:
+    """Print value under key as json, with the variants, if any, last in its metadata.
+
+    The one agreement check of the closed forms: a variant other than value fails it.
+    """
+    if any(v != value for v in variants.values()):
+        raise RuntimeError(f"{key} variants disagree for {spec}: {variants}")
+    payload = _spec_metadata(spec) | metadata | ({"variants": variants} if variants else {})
+    print(json.dumps({key: value, "metadata": payload}))
+    return EXIT_OK
+
+
 def cmd_card(args: argparse.Namespace) -> int:
     spec = _spec(args)
     if args.format != "json":
@@ -115,14 +129,7 @@ def cmd_card(args: argparse.Namespace) -> int:
         return EXIT_OK
     # The json form lists every closed form, so only it computes them.
     method, variants = counting.cardinality_variants(spec)
-    if len(set(variants.values())) != 1:
-        raise RuntimeError(f"cardinality variants disagree for {spec}: {variants}")
-    payload = {
-        "cardinality": variants[method],
-        "metadata": _spec_metadata(spec) | {"method": method, "variants": variants},
-    }
-    print(json.dumps(payload))
-    return EXIT_OK
+    return _print_count("cardinality", spec, variants[method], variants, method=method)
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
@@ -134,16 +141,11 @@ def cmd_rank(args: argparse.Namespace) -> int:
         return EXIT_OK
     # The json form lists the gdiff rank formulas, so only it computes them.
     if gdiff:
-        assert spec.m is not None
         variants = counting.g_rank_variants(spec.n, spec.m, x)
         value, method = variants["phi-sum"], "phi-sum"
     else:
         value, method, variants = counting.rank(spec, x), "phi-sum-transport", {}
-    metadata = _spec_metadata(spec) | {"target": str(x), "method": method}
-    if variants:
-        metadata["variants"] = variants
-    print(json.dumps({"rank": value, "metadata": metadata}))
-    return EXIT_OK
+    return _print_count("rank", spec, value, variants, target=str(x), method=method)
 
 
 def cmd_map(args: argparse.Namespace) -> int:

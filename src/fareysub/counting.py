@@ -18,8 +18,8 @@ bool family's smaller piece, and its "moebius-product", read a prefix of
 the table of the larger piece.
 
 The other published closed forms are in the `*_variants` functions, which
-`verify` compares with the oracle and `fareysub card --format json` lists
-and compares with each other; `cardinality_variants` picks those of any
+`verify` compares with the oracle and json `fareysub card` and `rank` list
+and compare with each other; `cardinality_variants` picks those of any
 family.  Beside the kernel value each lists forms that run per d on
 purpose, reading the table but never _blocks: "moebius-sum-alt" of fnum
 and, through the mirror, "moebius-sum" of gdiff, both _per_d_size;
@@ -86,9 +86,11 @@ _FEW = 8
 _CHUNK = 2**16
 
 
-# One call reads one table, at its largest order; smaller orders read its
-# prefix.  A table of order n takes n bytes: 4 MB for four at n = 10**6.
-@lru_cache(maxsize=4)
+# One table is kept: every call reads one, at its largest order, and a CLI
+# process makes one call.  More slots never hit in the count benchmark, and
+# `verify --max-n 20` missed 470 times with four against 560 with one, on
+# tables of order <= 600; four tables near n = 10**8 would hold 400 MB.
+@lru_cache(maxsize=1)
 def _mu_upto(limit: int) -> memoryview:
     """Sieved Moebius values; index d holds mu(d), and index 0 holds 0.
 
@@ -292,11 +294,10 @@ def g_rank(n: int, m: int, x: Fraction) -> int:
 def g_rank_variants(n: int, m: int, x: Fraction) -> dict[str, int]:
     """Rank formulas for x in the gdiff family.
 
-    "phi-sum" is authoritative.  "moebius-sum" reproduces a published closed
-    form whose transcription is less certain; callers should report rather
-    than trust a disagreement (none has been observed: against the oracle
-    on every member up to n = 40 with m in [-2, n - 1], against phi-sum on
-    sampled members up to n = 5000 and at n = 10^6).
+    "phi-sum" is the kernel; "moebius-sum" is a published closed form, run
+    per squarefree d.  They have been checked against the oracle on every
+    member up to n = 40 with m in [-2, n - 1], and against each other on
+    sampled members up to n = 5000 and at n = 10^6.
     """
     variants = {"phi-sum": g_rank(n, m, x)}
     m = max(m, 0)
@@ -350,8 +351,6 @@ def f_cardinality_variants(q: int, p: int) -> dict[str, int]:
 
 def f_cardinality(q: int, p: int) -> int:
     """Size of the fnum family of order q with numerator bound p, by the kernel."""
-    if q < 1 or p < 1:
-        raise DomainError(f"fnum cardinality requires q >= 1 and p >= 1, got q={q}, p={p}")
     return cardinality(SequenceSpec(_FNUM, q, p))
 
 

@@ -284,7 +284,6 @@ def verify_map(map_id: str, n: int, m: int, *, oracle: Oracle | None = None) -> 
 
     roundtrip_ok = True
     if entry.inverse_id is not None:
-        assert entry.inverse_params is not None
         inverse = get_map(entry.inverse_id)
         # The product is +-I exactly when b = c = 0 and a = d, as det = +-1.
         product = inverse.matrix @ entry.matrix

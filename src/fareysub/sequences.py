@@ -60,7 +60,7 @@ from typing import Iterator
 
 from .fraction import IDENTITY_MAP, MIRROR_MAP, DomainError, Fraction, UnimodularMap, _reduced, _reduced_run
 
-#: Default guard for the quadratic enumeration oracle.
+#: The largest order the quadratic enumeration oracle lists.
 MAX_ENUM_ORDER = 10_000
 
 # Largest order for which _terms shares one table of ints among the terms
@@ -146,7 +146,6 @@ def member(spec: SequenceSpec, x: Fraction) -> bool:
     if kind is _FULL:
         return True
     m = spec.m
-    assert m is not None
     if kind is _FNUM:
         return h <= m
     if kind is _GDIFF:
@@ -178,7 +177,6 @@ def _numerators(spec: SequenceSpec, k: int) -> range:
     lo, hi = 0, k
     if kind is not _FULL:
         m = spec.m
-        assert m is not None
         if kind is not _FNUM:
             lo = max(0, k - (n - m))
         if kind is not _GDIFF:
@@ -227,7 +225,7 @@ def _gc_paused() -> Iterator[None]:
 
 
 @_gc_paused()
-def enumerate_sequence(spec: SequenceSpec, *, max_order: int = MAX_ENUM_ORDER) -> list[Fraction]:
+def enumerate_sequence(spec: SequenceSpec) -> list[Fraction]:
     """Brute-force oracle: every reduced h/k with k <= n, filtered by member(), sorted.
 
     At denominator k only the numerators of _numerators(spec, k) are
@@ -237,11 +235,11 @@ def enumerate_sequence(spec: SequenceSpec, *, max_order: int = MAX_ENUM_ORDER) -
     numerator just outside each end of the range, so a range too narrow
     raises RuntimeError.  The sort key h*n*n // k is strictly increasing on
     F_n: two distinct members differ by at least 1/n**2, so their keys by at
-    least 1.
+    least 1.  An order above MAX_ENUM_ORDER raises DomainError before the scan.
     """
     n = spec.n
-    if n > max_order:
-        raise DomainError(f"n={n} exceeds the enumeration bound {max_order}")
+    if n > MAX_ENUM_ORDER:
+        raise DomainError(f"n={n} exceeds the enumeration bound {MAX_ENUM_ORDER}")
     out: list[Fraction] = []
     for k in range(1, n + 1):
         span = _numerators(spec, k)

@@ -506,10 +506,7 @@ def test_card_json_for_every_kind(capsys, kind):
             assert out == _card_reference(spec), spec
 
 
-@pytest.mark.parametrize("kind", [kind.value for kind in SequenceKind])
-def test_card_json_catches_a_wrong_run_weight(capsys, monkeypatch, kind):
-    # Each json size pair is the kernel, which walks _blocks, beside a per-d
-    # form, which does not; so one wrong run weight splits every pair.
+def _skew_the_first_run_weight(monkeypatch):
     blocks = counting._blocks
 
     def skewed(*args):
@@ -519,6 +516,13 @@ def test_card_json_catches_a_wrong_run_weight(capsys, monkeypatch, kind):
         yield from runs
 
     monkeypatch.setattr(counting, "_blocks", skewed)
+
+
+@pytest.mark.parametrize("kind", [kind.value for kind in SequenceKind])
+def test_card_json_catches_a_wrong_run_weight(capsys, monkeypatch, kind):
+    # Each json size pair is the kernel, which walks _blocks, beside a per-d
+    # form, which does not; so one wrong run weight splits every pair.
+    _skew_the_first_run_weight(monkeypatch)
     m_args = [] if kind == "full" else ["-m", "12"]
     spec = SequenceSpec(SequenceKind(kind), 30, 12 if m_args else None)
     _, variants = counting.cardinality_variants(spec)
@@ -526,6 +530,17 @@ def test_card_json_catches_a_wrong_run_weight(capsys, monkeypatch, kind):
     code, out, err = run(capsys, "card", "--kind", kind, "-n", "30", *m_args, "--format", "json")
     assert (code, out) == (3, "")
     assert err.count("\n") == 1 and "variants disagree" in err
+
+
+def test_rank_json_catches_a_wrong_run_weight(capsys, monkeypatch):
+    # The gdiff rank's phi-sum walks _blocks and its moebius-sum does not.
+    _skew_the_first_run_weight(monkeypatch)
+    variants = counting.g_rank_variants(30, 12, parse_fraction("7/19"))
+    assert len(set(variants.values())) == 2, variants
+    argv = ["rank", "--kind", "gdiff", "-n", "30", "-m", "12", "7/19", "--format", "json"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "rank variants disagree" in err
 
 
 def test_a_failed_internal_check_exits_3_without_a_traceback():

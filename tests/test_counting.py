@@ -317,9 +317,9 @@ def test_f_cardinality_matches_oracle(oracle):
 
 
 def test_f_cardinality_rejects_bad_parameters():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="fnum requires m >= 1, got m=0"):
         f_cardinality(4, 0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="order must be positive, got n=0"):
         f_cardinality(0, 1)
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from fareysub import (
     IDENTITY_MAP,
+    MAX_ENUM_ORDER,
     DomainError,
     Fraction,
     SequenceKind,
@@ -104,8 +105,8 @@ def test_enumerate_golden_listings(oracle):
 
 def test_enumerate_respects_size_bound():
     with pytest.raises(DomainError):
-        enumerate_sequence(SequenceSpec(K.FULL, 50), max_order=10)
-    assert enumerate_sequence(SequenceSpec(K.FULL, 50), max_order=50)[0] == Fraction(0, 1)
+        enumerate_sequence(SequenceSpec(K.FULL, MAX_ENUM_ORDER + 1))
+    assert enumerate_sequence(SequenceSpec(K.FULL, 50))[0] == Fraction(0, 1)
 
 
 @pytest.mark.parametrize("caller_enabled", [True, False])
