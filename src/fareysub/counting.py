@@ -233,9 +233,12 @@ def _check_even_halved(twice: int, what: str, *parts: object) -> int:
     return twice // 2
 
 
-def _table(pieces: tuple[_Piece, ...]) -> memoryview:
-    """The one Moebius table that these pieces read: that of the largest."""
-    return _mu_upto(max([n for n, _, _ in pieces]))
+def _table(spec: SequenceSpec) -> tuple[tuple[_Piece, ...], memoryview]:
+    """The pieces of spec and the one Moebius table they read: that of the largest."""
+    # bool's pieces are smaller than n, so their table would not catch it.
+    _require_countable(spec.n)
+    pieces = _pieces(spec)
+    return pieces, _mu_upto(max([n for n, _, _ in pieces]))
 
 
 def _size(pieces: tuple[_Piece, ...], mu: memoryview) -> int:
@@ -250,15 +253,12 @@ def _size(pieces: tuple[_Piece, ...], mu: memoryview) -> int:
 
 def cardinality(spec: SequenceSpec) -> int:
     """Size of a family of any of the six kinds, by the kernel at 1/1 per piece."""
-    # bool's pieces are smaller than n, so their tables would not catch it.
-    _require_countable(spec.n)
-    pieces = _pieces(spec)
-    return _size(pieces, _table(pieces))
+    return _size(*_table(spec))
 
 
 def cardinality_variants(spec: SequenceSpec) -> tuple[str, dict[str, int]]:
     """The reported formula's name and every closed form of the family size."""
-    _require_countable(spec.n)  # as in cardinality
+    _require_countable(spec.n)  # the one-piece branch reads a smaller table, the piece's
     if spec.kind is _GDIFF:
         return "phi-sum", g_cardinality_variants(spec.n, spec.m)
     if spec.kind is _BOOL:
@@ -329,9 +329,7 @@ def rank(spec: SequenceSpec, x: Fraction) -> int:
     half, which shares 1/2 with the second.
     """
     _require_member(spec, x)
-    _require_countable(spec.n)  # as in cardinality
-    pieces = _pieces(spec)
-    mu = _table(pieces)
+    pieces, mu = _table(spec)
     n, m, M = piece = _piece(pieces, x.num, x.den, -1)
     y = _reduced(*_carried_back(M, x.num, x.den))
     _require_member(SequenceSpec(_GDIFF, n, m), y)

@@ -179,10 +179,9 @@ class UnimodularMap:
         return (self.a, self.b), (self.c, self.d)
 
     def inverse(self) -> "UnimodularMap":
-        """Exact integer inverse (the adjugate divided by the determinant)."""
-        if self.det == 1:
-            return UnimodularMap(self.d, -self.b, -self.c, self.a)
-        return UnimodularMap(-self.d, self.b, self.c, -self.a)
+        """Exact integer inverse: det times the adjugate, as det = +-1."""
+        det = self.det
+        return UnimodularMap(det * self.d, -det * self.b, -det * self.c, det * self.a)
 
     def __matmul__(self, other: "UnimodularMap") -> "UnimodularMap":
         return UnimodularMap(

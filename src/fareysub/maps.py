@@ -202,13 +202,18 @@ def apply_named(map_id: str, n: int, m: int, x: Fraction) -> Fraction:
     x is checked against the domain.  The image is not checked against the
     codomain: that the map carries its domain into its codomain is the
     catalog's claim, which `verify_map` checks element by element and the
-    `verify` map suite at every admissible (n, m).
+    `verify` map suite at every admissible (n, m).  An image of a domain
+    member outside [0/1, 1/1] breaks that claim, so it is an internal fault
+    and raises RuntimeError, not DomainError.
     """
     entry = get_map(map_id)
     entry.check_constraint(n, m)
     if not member(entry.domain(n, m), x):
         raise DomainError(f"{x} is not in the domain of {map_id} at n={n}, m={m}")
-    return entry.matrix.apply(x)
+    try:
+        return entry.matrix.apply(x)
+    except DomainError:
+        raise RuntimeError(f"{map_id} at n={n}, m={m} carries {x} out of [0/1, 1/1]") from None
 
 
 @dataclass(frozen=True)
@@ -239,75 +244,63 @@ def verify_map(map_id: str, n: int, m: int, *, oracle: Oracle | None = None) -> 
     direction of the determinant (so no collisions), and that bijections hit
     the enumerated codomain exactly (injections land inside it).  The
     registered inverse undoes every fraction exactly when the product of
-    the two matrices is +-I, and it must name the matching families.  An
-    alternative oracle (for example a caching one) may be supplied.
+    the two matrices is +-I, and it must name the matching families.  Each
+    failed check names the claim it breaks; the counterexample is the first
+    failure, in the order the checks run.  An alternative oracle (for
+    example a caching one) may be supplied.
     """
     fetch = oracle if oracle is not None else enumerate_sequence
     entry = get_map(map_id)
     entry.check_constraint(n, m)
     domain = fetch(entry.domain(n, m))
     codomain_spec = entry.codomain(n, m)
+    failed: list[tuple[str, str]] = []  # (claim, text), in check order
     images: list[Fraction] = []
-    counterexample = None
     try:
         for x in domain:
             images.append(entry.matrix.apply(x))
     except DomainError as err:
         # Only a wrong matrix carries a domain member out of [0/1, 1/1]; the
         # checks below run on the images before it.
-        counterexample = str(err)
-    image_ok = counterexample is None
+        failed.append(("image", str(err)))
 
-    monotone = True
     preserving = entry.direction is Direction.PRESERVING
     for a, b in zip(images, images[1:]):
         if not (a < b if preserving else b < a):
-            monotone = False
-            if counterexample is None:
-                counterexample = f"order breaks at images {a}, {b}"
+            failed.append(("order", f"order breaks at images {a}, {b}"))
             break
 
     if entry.map_class is MapClass.BIJECTIVE:
-        codomain = fetch(codomain_spec)
-        expected = images if preserving else images[::-1]
-        if expected != codomain:
-            image_ok = False
-            if counterexample is None:
-                counterexample = "image set differs from the codomain"
+        if (images if preserving else images[::-1]) != fetch(codomain_spec):
+            failed.append(("image", "image set differs from the codomain"))
     else:
         for x, y in zip(domain, images):
             if not member(codomain_spec, y):
-                image_ok = False
-                if counterexample is None:
-                    counterexample = f"{x} maps to {y}, a non-member"
+                failed.append(("image", f"{x} maps to {y}, a non-member"))
                 break
 
-    roundtrip_ok = True
     if entry.inverse_id is not None:
         inverse = get_map(entry.inverse_id)
         # The product is +-I exactly when b = c = 0 and a = d, as det = +-1.
         product = inverse.matrix @ entry.matrix
         if product.b or product.c or product.a != product.d:
-            roundtrip_ok = False
-            if counterexample is None:
-                counterexample = f"{entry.inverse_id} after {map_id} is {product.rows()}, not +-I"
+            failed.append(("inverse", f"{inverse.id} after {map_id} is {product.rows()}, not +-I"))
         # The inverse entry must claim the matching sequences at the
         # transformed parameters.
         n2, m2 = entry.inverse_params(n, m)
         if inverse.domain(n2, m2) != codomain_spec or inverse.codomain(n2, m2) != entry.domain(n, m):
-            roundtrip_ok = False
-            if counterexample is None:
-                counterexample = f"inverse {entry.inverse_id} points at mismatched sequences"
+            failed.append(("inverse", f"inverse {inverse.id} points at mismatched sequences"))
 
+    claims = {claim for claim, _ in failed}
     return VerificationReport(
         map_id=map_id,
         n=n,
         m=m,
         domain_size=len(domain),
-        monotone=monotone,
-        image_ok=image_ok,
-        roundtrip_ok=roundtrip_ok,
-        counterexample=counterexample,
+        monotone="order" not in claims,
+        image_ok="image" not in claims,
+        roundtrip_ok="inverse" not in claims,
+        counterexample=failed[0][1] if failed else None,
     )
 
 
@@ -350,7 +343,7 @@ def _composite_identity(
             step = apply_named(up_id, n, m, step)
             if step != apply_named(involution_id, n, m, x):
                 return False
-        except DomainError:
+        except (DomainError, RuntimeError):  # off the next domain, or off [0/1, 1/1]
             return False
     return True
 

@@ -76,16 +76,16 @@ def _g_pair(n: int, m: int, h: int, k: int, sign: int) -> tuple[int, int]:
 
     sign -1 solves k*x0 = -1 (mod h) and walks to the predecessor, +1 solves
     k*x0 = +1 (mod h) and walks to the successor.  Then k*p - h*q = sign, so
-    p/q is reduced.  A failed check can only be a bug here and raises
-    RuntimeError, which, unlike assert, survives python -O.
+    p/q is reduced.  y0 = (k*x0 - sign) / h is exact: x0 = sign * k^-1
+    (mod h) by construction, so h divides k*x0 - sign.  A neighbor outside
+    [0/1, 1/1] can only be a bug here and raises RuntimeError, which, unlike
+    assert, survives python -O.
     """
     # Unique solution in the window [m-h+1, m]; for h = 1 the congruence is
     # vacuous and the window collapses to x0 = m.
     residue = (sign * pow(k, -1, h)) % h if h > 1 else 0
     x0 = m - (m - residue) % h
-    y0, rem = divmod(k * x0 - sign, h)
-    if rem != 0:
-        raise RuntimeError(f"k*x0 - {sign} is not divisible by h for x={h}/{k}, x0={x0}")
+    y0 = (k * x0 - sign) // h
     # t* is the smaller of two floors; every denominator is positive.
     t = (n - m + x0 - y0) // (k - h)
     u = (n - y0) // k

@@ -8,7 +8,8 @@ A suite is made of *parts*, each a contiguous run of its rows; `SUITES`
 states the three suites of `fareysub verify` and their seven parts, in
 print order, and is the one statement of a suite's parts: `neighbor_suite`,
 `identity_suite` and `map_suite` return the concatenation of their parts'
-rows.
+rows.  The gdiff, fnum and bool neighbor parts read one interior sweep,
+`_interior`.
 `fareysub verify` (`cli.cmd_verify`) hands the parts to a pool of worker
 processes in print order and reads their rows back in that order, so its
 table is the same as a serial run's.  Print order is enough: the pool gives
@@ -108,59 +109,50 @@ def _main_sweep(kind: SequenceKind, max_n: int) -> Iterator[SequenceSpec]:
     return _sweep(kind, range(1, max_n + 1), -2, 2)
 
 
+def _interior(
+    kind: SequenceKind, max_n: int
+) -> Iterator[tuple[int, int, Fraction, Fraction, Fraction]]:
+    """(n, m, before, x, after) for each interior member x of each spec of _main_sweep."""
+    for spec in _main_sweep(kind, max_n):
+        seq = _cached(spec)
+        for before, x, after in zip(seq, seq[1:], seq[2:]):
+            yield spec.n, spec.m, before, x, after
+
+
 def _gdiff_neighbor_rows(max_n: int) -> list[SuiteRow]:
     g_row = SuiteRow("neighbors/gdiff pred+succ")
     unit_row = SuiteRow("neighbors/gdiff unit fractions")
     pair_row = SuiteRow("neighbors/gdiff from consecutive pair")
-    for spec in _main_sweep(SequenceKind.GDIFF, max_n):
-        n, m = spec.n, spec.m
-        seq = cached_sequence(spec)
-        for i in range(1, len(seq) - 1):
-            prev, x, nxt = seq[i - 1], seq[i], seq[i + 1]
-            got = (neighbors.g_predecessor(n, m, x), neighbors.g_successor(n, m, x))
-            g_row.count(got == (prev, nxt), "n={} m={} x={} got {},{}", n, m, x, got[0], got[1])
-            if x.num == 1 and x.den > 1:
-                unit = neighbors.g_unit_fraction_neighbors(n, m, x.den)
-                unit_row.count(unit == (prev, nxt), "n={} m={} 1/{} got {}", n, m, x.den, unit)
-            fwd = neighbors.g_next_from_pair(n, m, prev, x)
-            bwd = neighbors.g_prev_from_pair(n, m, x, nxt)
-            pair_row.count(fwd == nxt and bwd == prev, "n={} m={} around {}", n, m, x)
+    for n, m, prev, x, nxt in _interior(SequenceKind.GDIFF, max_n):
+        got = (neighbors.g_predecessor(n, m, x), neighbors.g_successor(n, m, x))
+        g_row.count(got == (prev, nxt), "n={} m={} x={} got {},{}", n, m, x, got[0], got[1])
+        if x.num == 1 and x.den > 1:
+            unit = neighbors.g_unit_fraction_neighbors(n, m, x.den)
+            unit_row.count(unit == (prev, nxt), "n={} m={} 1/{} got {}", n, m, x.den, unit)
+        fwd = neighbors.g_next_from_pair(n, m, prev, x)
+        bwd = neighbors.g_prev_from_pair(n, m, x, nxt)
+        pair_row.count(fwd == nxt and bwd == prev, "n={} m={} around {}", n, m, x)
     return [g_row, unit_row, pair_row]
 
 
 def _fnum_neighbor_rows(max_n: int) -> list[SuiteRow]:
     f_row = SuiteRow("neighbors/fnum pred+succ")
-    for spec in _main_sweep(SequenceKind.FNUM, max_n):
-        n, m = spec.n, spec.m
-        seq = cached_sequence(spec)
-        for i in range(1, len(seq) - 1):
-            x = seq[i]
-            got = (neighbors.f_predecessor(n, m, x), neighbors.f_successor(n, m, x))
-            f_row.count(got == (seq[i - 1], seq[i + 1]), "n={} m={} x={} got {}", n, m, x, got)
+    for n, m, prev, x, nxt in _interior(SequenceKind.FNUM, max_n):
+        got = (neighbors.f_predecessor(n, m, x), neighbors.f_successor(n, m, x))
+        f_row.count(got == (prev, nxt), "n={} m={} x={} got {}", n, m, x, got)
     return [f_row]
 
 
 def _bool_neighbor_rows(max_n: int) -> list[SuiteRow]:
     anchor_row = SuiteRow("neighbors/bool special anchors")
     bool_row = SuiteRow("neighbors/bool pred+succ")
-    for spec in _main_sweep(SequenceKind.BOOLEAN, max_n):
-        n, m = spec.n, spec.m
-        seq = cached_sequence(spec)
-        index = {x: i for i, x in enumerate(seq)}
-        if n != 2 * m:
-            for anchor in (HALF, Fraction(1, 3), Fraction(2, 3)):
-                if not member(spec, anchor):
-                    continue
-                i = index[anchor]
-                got = neighbors.boolean_special_neighbors(n, m, anchor)
-                anchor_row.count(
-                    got == (seq[i - 1], seq[i + 1]),
-                    "n={} m={} anchor {} got {}", n, m, anchor, got,
-                )
-        for i in range(1, len(seq) - 1):
-            x = seq[i]
-            got = (neighbors.boolean_predecessor(n, m, x), neighbors.boolean_successor(n, m, x))
-            bool_row.count(got == (seq[i - 1], seq[i + 1]), "n={} m={} x={} got {}", n, m, x, got)
+    for n, m, prev, x, nxt in _interior(SequenceKind.BOOLEAN, max_n):
+        # The interior members with denominator <= 3 are the anchors 1/3, 1/2, 2/3.
+        if x.den <= 3 and n != 2 * m:
+            got = neighbors.boolean_special_neighbors(n, m, x)
+            anchor_row.count(got == (prev, nxt), "n={} m={} anchor {} got {}", n, m, x, got)
+        got = (neighbors.boolean_predecessor(n, m, x), neighbors.boolean_successor(n, m, x))
+        bool_row.count(got == (prev, nxt), "n={} m={} x={} got {}", n, m, x, got)
     return [anchor_row, bool_row]
 
 

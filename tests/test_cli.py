@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -16,6 +17,7 @@ from fareysub import (
     DomainError,
     SequenceKind,
     SequenceSpec,
+    UnimodularMap,
     boolean_cardinality_variants,
     catalog,
     f_cardinality_variants,
@@ -23,7 +25,7 @@ from fareysub import (
     generate_sequence,
     parse_fraction,
 )
-from fareysub import cli, counting, sequences
+from fareysub import cli, counting, maps, sequences
 from fareysub.cli import main
 from fareysub.verify import _main_sweep
 
@@ -423,6 +425,17 @@ def test_map_errors(capsys):
     assert code == 1 and "-m" in err
     code, _, _ = run(capsys, "map", "--name", "thm_f_to_left", "-n", "6", "-m", "4", "2/4")
     assert code == 1
+
+
+def test_a_catalog_fault_under_map_exits_3(capsys, monkeypatch):
+    # 1/3 is in the domain of thm_left_to_f at (9, 4), so an image outside
+    # [0/1, 1/1] is the catalog's fault, not the input's.
+    entry = maps.get_map("thm_left_to_f")
+    broken = dataclasses.replace(entry, matrix=UnimodularMap(1, 1, 0, 1))
+    monkeypatch.setitem(maps._BY_ID, "thm_left_to_f", broken)
+    code, out, err = run(capsys, "map", "--name", "thm_left_to_f", "-n", "9", "-m", "4", "1/3")
+    assert (code, out) == (3, "")
+    assert err.startswith("fareysub: internal check failed:") and err.count("\n") == 1
 
 
 def test_verify_all_maps(capsys):

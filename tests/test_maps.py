@@ -219,6 +219,33 @@ def test_a_matrix_of_the_wrong_orientation_fails(monkeypatch):
     assert not rows["maps/thm_left_to_f"].ok
 
 
+def _break(monkeypatch, map_id, matrix):
+    entry = get_map(map_id)
+    broken = dataclasses.replace(entry, matrix=matrix)
+    monkeypatch.setattr(maps, "_CATALOG", tuple(broken if e is entry else e for e in catalog()))
+    monkeypatch.setitem(maps._BY_ID, map_id, broken)
+
+
+def test_the_counterexample_is_the_first_failure_in_check_order(monkeypatch):
+    # h/k -> (h+k)/k carries 1/3 out of [0/1, 1/1], leaves the images of
+    # left(6, 4) short of the codomain and is not undone by thm_f_to_left:
+    # three claims fail, and the range text, checked first, is reported.
+    _break(monkeypatch, "thm_left_to_f", UnimodularMap(1, 1, 0, 1))
+    report = verify_map("thm_left_to_f", 6, 4)
+    assert (report.monotone, report.image_ok, report.roundtrip_ok) == (True, False, False)
+    assert report.counterexample == (
+        "image 4/3 of 1/3 under ((1, 1), (0, 1)) leaves [0/1, 1/1]; "
+        "the fraction is not in this map's domain"
+    )
+
+
+def test_a_composite_step_off_the_unit_interval_fails_the_identity(monkeypatch):
+    # h/k -> -h/k keeps 0/1, where the identity holds, and carries every
+    # later member out of [0/1, 1/1]: the identity fails and nothing raises.
+    _break(monkeypatch, "thm_left_to_f", UnimodularMap(-1, 0, 0, 1))
+    assert composite_left_identity(6, 4) is False
+
+
 def test_an_inverse_naming_other_families_fails_the_roundtrip(monkeypatch):
     # thm_f_to_left's matrix still undoes thm_left_to_f, but its domain at
     # the transformed parameters is no longer the image family.

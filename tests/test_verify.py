@@ -1,6 +1,6 @@
 from collections import Counter
 
-from fareysub import Fraction, SequenceKind, SequenceSpec, enumerate_sequence, verify
+from fareysub import Fraction, SequenceKind, SequenceSpec, enumerate_sequence, neighbors, verify
 from fareysub.cli import main
 
 from strategies import valid_ms
@@ -152,3 +152,23 @@ def test_failing_check_records_its_first_failure_text():
     literal = verify.SuiteRow("literal")
     literal.count(False, "braces {} kept")
     assert literal.first_failure == "braces {} kept"
+
+
+def test_the_bool_sweep_checks_every_anchor(monkeypatch):
+    # Wrong at 1/3 only: the anchor row fails once for each spec with
+    # n != 2m whose family holds 1/3, and the pred+succ row stays ok.
+    plain = neighbors.boolean_special_neighbors
+    third = Fraction(1, 3)
+
+    def wrong_at_one_third(n, m, anchor):
+        pred, succ = plain(n, m, anchor)
+        return (succ, pred) if anchor == third else (pred, succ)
+
+    monkeypatch.setattr(neighbors, "boolean_special_neighbors", wrong_at_one_third)
+    anchor_row, bool_row = verify._bool_neighbor_rows(12)
+    holding = [
+        spec for spec in verify._main_sweep(SequenceKind.BOOLEAN, 12)
+        if spec.n != 2 * spec.m and third in enumerate_sequence(spec)
+    ]
+    assert holding and anchor_row.failures == len(holding)
+    assert bool_row.ok
